@@ -1,11 +1,11 @@
-//! Criterion benchmarks for the simplex pricing engine: the same LP
-//! solved under each [`PricingRule`], at sizes where the full Dantzig
-//! scan is respectively cheap, noticeable, and dominant. These quantify
-//! the pricing half of the paper's Section 3.5.3 solve-time budget the
-//! way `solver.rs` quantifies the basis engines.
+//! Criterion benchmarks for the warm re-solve hot path: a bound- or
+//! RHS-patched LP solved cold against the dual-simplex re-solve from the
+//! previous optimal basis. These quantify the re-solve half of the
+//! paper's Section 3.5.3 solve-time budget the way `solver.rs` quantifies
+//! cold solves.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ras_milp::simplex::{solve_lp, solve_lp_warm, LpStatus, PricingRule, SimplexConfig};
+use ras_milp::simplex::{solve_lp, solve_lp_warm, LpStatus, SimplexConfig};
 use ras_milp::standard::StandardForm;
 use ras_milp::{LinExpr, Model, Sense, VarType};
 
@@ -49,58 +49,11 @@ fn diagonal(n: usize, k: usize) -> StandardForm {
     StandardForm::from_model(&m)
 }
 
-const RULES: [PricingRule; 3] = [
-    PricingRule::Dantzig,
-    PricingRule::Devex,
-    PricingRule::PartialDevex,
-];
-
-fn solve_with(sf: &StandardForm, pricing: PricingRule) -> f64 {
-    let cfg = SimplexConfig {
-        pricing,
-        ..SimplexConfig::default()
-    };
-    let r = solve_lp(sf, &sf.lower.clone(), &sf.upper.clone(), &cfg);
-    assert_eq!(r.status, LpStatus::Optimal);
-    r.objective
-}
-
-fn bench_pricing_transportation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pricing_transportation");
-    for m in [10usize, 30] {
-        let sf = transportation(m);
-        for rule in RULES {
-            group.bench_with_input(
-                BenchmarkId::new(format!("{rule:?}"), m * m),
-                &sf,
-                |b, sf| b.iter(|| solve_with(sf, rule)),
-            );
-        }
-    }
-    group.finish();
-}
-
-fn bench_pricing_region_scale(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pricing_region_scale");
-    group.sample_size(10);
-    let sf = diagonal(20_000, 250);
-    for rule in RULES {
-        group.bench_with_input(
-            BenchmarkId::new(format!("{rule:?}"), 20_000),
-            &sf,
-            |b, sf| b.iter(|| solve_with(sf, rule)),
-        );
-    }
-    group.finish();
-}
-
 /// Bound-patch re-solve: the session hot path. One cold solve persists
 /// its basis, then a handful of upper bounds tighten (a round's count
-/// patch) and the LP re-solves three ways: cold from scratch, warm
-/// through the legacy primal repair (`warm_dual: false`), and warm
-/// through the dual simplex (the default). The dual path should win —
-/// the patched basis is dual feasible, so it needs no phase 1 and no
-/// feasibility repair pivots.
+/// patch) and the LP re-solves two ways: cold from scratch, and warm
+/// through the dual simplex. The dual path should win — the patched
+/// basis is dual feasible, so it needs no phase 1.
 fn bench_bound_patch_resolve(c: &mut Criterion) {
     let mut group = c.benchmark_group("bound_patch_resolve");
     for m in [10usize, 30] {
@@ -124,19 +77,13 @@ fn bench_bound_patch_resolve(c: &mut Criterion) {
                 r.objective
             })
         });
-        for (name, warm_dual) in [("warm_primal", false), ("warm_dual", true)] {
-            let cfg = SimplexConfig {
-                warm_dual,
-                ..SimplexConfig::default()
-            };
-            group.bench_with_input(BenchmarkId::new(name, m * m), &sf, |b, sf| {
-                b.iter(|| {
-                    let r = solve_lp_warm(sf, &sf.lower.clone(), &upper, &cfg, Some(&basis));
-                    assert_eq!(r.status, LpStatus::Optimal);
-                    r.objective
-                })
-            });
-        }
+        group.bench_with_input(BenchmarkId::new("warm_dual", m * m), &sf, |b, sf| {
+            b.iter(|| {
+                let r = solve_lp_warm(sf, &sf.lower.clone(), &upper, &cold_cfg, Some(&basis));
+                assert_eq!(r.status, LpStatus::Optimal);
+                r.objective
+            })
+        });
     }
     group.finish();
 }
@@ -189,8 +136,6 @@ fn bench_dual_simplex_region_scale(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_pricing_transportation,
-    bench_pricing_region_scale,
     bench_bound_patch_resolve,
     bench_dual_simplex_region_scale
 );

@@ -15,7 +15,10 @@
 //!
 //! The run forces [`ras_core::AuditMode::On`], so even this release
 //! binary certificate-checks every solve: the process exits non-zero if
-//! any round — cold or warm-started — fails to certify clean.
+//! any round — cold or warm-started — fails to certify clean. It also
+//! exits non-zero unless at least one bound-only warm round kept its
+//! basis and every such round re-solved through the dual simplex with
+//! zero phase-1 iterations.
 
 use ras_bench::{fmt, Experiment};
 use ras_core::{AuditMode, SolverParams};
@@ -150,17 +153,21 @@ fn main() {
     // The warm-path contract for bound-only rounds: a reused model whose
     // warm basis sticks must re-solve via the dual simplex with zero
     // phase-1 iterations — phase 1 rebuilding feasibility from scratch
-    // would mean the persisted basis bought nothing.
+    // would mean the persisted basis bought nothing. Zero phase-1 alone
+    // is also what a primal re-solve from a still-feasible basis reports,
+    // so the dual re-solve flag is required too, and at least one round
+    // must qualify for the gate to test anything.
     let bound_only_rounds: Vec<_> = warm
         .iter()
         .filter(|r| r.warm.bounds_only_patch && r.warm.warm_basis_accepted)
         .collect();
-    let phase1_free = bound_only_rounds
+    let dual_phase1_free = bound_only_rounds
         .iter()
-        .filter(|r| r.warm.root_phase1_iterations == 0)
+        .filter(|r| r.warm.root_phase1_iterations == 0 && r.warm.dual_resolve)
         .count();
     exp.note(format!(
-        "bound-only warm rounds with zero phase-1 iterations: {phase1_free}/{}",
+        "bound-only warm rounds re-solved by the dual simplex with zero phase-1 \
+         iterations: {dual_phase1_free}/{}",
         bound_only_rounds.len()
     ));
     exp.finish();
@@ -168,8 +175,14 @@ fn main() {
         eprintln!("fig_continuous: audit certification failed");
         std::process::exit(1);
     }
-    if phase1_free != bound_only_rounds.len() {
-        eprintln!("fig_continuous: bound-only warm round ran phase-1 iterations");
+    if bound_only_rounds.is_empty() {
+        eprintln!("fig_continuous: no bound-only warm round with an accepted basis to gate");
+        std::process::exit(1);
+    }
+    if dual_phase1_free != bound_only_rounds.len() {
+        eprintln!(
+            "fig_continuous: bound-only warm round ran phase-1 iterations or skipped the dual"
+        );
         std::process::exit(1);
     }
 }

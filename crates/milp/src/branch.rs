@@ -19,7 +19,7 @@ use crate::branching::PseudoCosts;
 use crate::model::{Model, VarType};
 use crate::nan;
 use crate::nan::NanGuard;
-use crate::simplex::{solve_lp_warm, Basis, LpResult, LpStatus, SimplexConfig};
+use crate::simplex::{solve_lp_node, solve_lp_warm, Basis, LpResult, LpStatus, SimplexConfig};
 use crate::solution::{Solution, SolveConfig, SolveError, SolveStats, Status};
 use crate::standard::StandardForm;
 use crate::tol;
@@ -125,18 +125,6 @@ impl BranchAndBound {
             deadline: Some(
                 start + std::time::Duration::from_secs_f64(self.config.time_limit_seconds),
             ),
-            pricing: self.config.pricing,
-            dual_pricing: self.config.dual_pricing,
-            // Node and dive re-solves stay on the conservative one-
-            // violation-at-a-time repair: a branch changes a single
-            // bound, and the long-step dual's bound flips would jump
-            // whole runs of nonbasic integer columns to their opposite
-            // bounds, scrambling the vertex trajectory the search (and
-            // any downstream solve built from this solution) depends on
-            // staying near-integral. The long-step engine earns its keep
-            // on the root re-solve below, where a round's bound patch
-            // moves many bounds at once.
-            warm_dual: false,
             ..SimplexConfig::default()
         };
 
@@ -169,12 +157,14 @@ impl BranchAndBound {
         // root if the budget is already spent.
         let root_config = SimplexConfig {
             deadline: None,
-            warm_dual: self.config.warm_dual,
             ..lp_config.clone()
         };
         // A warm basis from the previous round (repaired against column
         // changes by `Basis::remap`) replaces the slack crash; the simplex
-        // falls back cold when it is stale or singular.
+        // falls back cold when it is stale or singular. The root runs the
+        // long-step dual simplex, which earns its keep here, where a
+        // round's bound patch moves many bounds at once; node and dive
+        // re-solves below change one bound and use `solve_lp_node`.
         let warm_basis = self
             .config
             .warm_start
@@ -189,7 +179,6 @@ impl BranchAndBound {
         match root.status {
             LpStatus::Infeasible => return Err(SolveError::Infeasible),
             LpStatus::Unbounded => return Err(SolveError::Unbounded),
-            LpStatus::TooLarge => return Err(SolveError::TooLarge),
             LpStatus::IterationLimit | LpStatus::Optimal => {}
         }
         // An iteration-limited root proves nothing: its objective must
@@ -302,9 +291,9 @@ impl BranchAndBound {
         });
         let mut best_open_bound = root_bound;
         // Weakest bound among subtrees the search abandoned (LP iteration
-        // limit / size refusal). It must stay in the final open-bound
-        // accounting: silently dropping those nodes let `best_bound`
-        // overclaim whatever optimum they might have contained.
+        // limit). It must stay in the final open-bound accounting:
+        // silently dropping those nodes let `best_bound` overclaim
+        // whatever optimum they might have contained.
         let mut abandoned_bound = f64::INFINITY;
         let mut hit_limit = false;
         let mut stall_nodes = 0usize;
@@ -342,7 +331,7 @@ impl BranchAndBound {
                 }
             }
             let node = &nodes[entry.index];
-            let lp = solve_lp_warm(
+            let lp = solve_lp_node(
                 &sf,
                 &node.lower,
                 &node.upper,
@@ -354,7 +343,7 @@ impl BranchAndBound {
             match lp.status {
                 LpStatus::Infeasible => continue,
                 LpStatus::Unbounded => return Err(SolveError::Unbounded),
-                LpStatus::IterationLimit | LpStatus::TooLarge => {
+                LpStatus::IterationLimit => {
                     // Abandoning the subtree is fine, forgetting it is
                     // not: its parent bound stays in the accounting.
                     hit_limit = true;
@@ -595,7 +584,7 @@ impl BranchAndBound {
                         upper[j] = v;
                         (j, v)
                     });
-                    let mut lp = solve_lp_warm(sf, &lower, &upper, lp_config, warm.as_ref());
+                    let mut lp = solve_lp_node(sf, &lower, &upper, lp_config, warm.as_ref());
                     stats.record_lp(&lp);
                     if lp.status != LpStatus::Optimal {
                         // Rounding to nearest may have cut off feasibility;
@@ -609,7 +598,7 @@ impl BranchAndBound {
                         }
                         lower[j] = other;
                         upper[j] = other;
-                        lp = solve_lp_warm(sf, &lower, &upper, lp_config, warm.as_ref());
+                        lp = solve_lp_node(sf, &lower, &upper, lp_config, warm.as_ref());
                         stats.record_lp(&lp);
                         if lp.status != LpStatus::Optimal {
                             return None;

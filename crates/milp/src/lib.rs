@@ -13,16 +13,13 @@
 //!   infeasibility detection, run before the search;
 //! * [`standard`] — conversion to computational standard form;
 //! * [`lu`] — sparse LU factorization (Gilbert–Peierls left-looking
-//!   elimination) with Forrest–Tomlin updates, backing the
-//!   large-instance basis engine;
+//!   elimination) with Forrest–Tomlin updates, backing the simplex basis;
 //! * [`simplex`] — a bounded-variable, two-phase revised primal simplex
-//!   plus a dual simplex for warm re-solves, with a pluggable basis
-//!   engine (dense inverse for small instances, Forrest–Tomlin-updated
-//!   sparse LU for region-scale models, the legacy eta file as a
-//!   differential baseline, all with periodic refactorization) and
-//!   pluggable pricing engines (Dantzig, devex, and partial devex with
-//!   incrementally maintained reduced costs on the primal side; dual
-//!   devex with a bound-flip ratio test on the dual side);
+//!   plus a dual simplex for warm re-solves, on one Forrest–Tomlin-updated
+//!   sparse LU basis with periodic refactorization; devex pricing over
+//!   incrementally maintained reduced costs (partial devex on large
+//!   models) on the primal side, dual devex with a bound-flip ratio test
+//!   on the dual side;
 //! * [`audit`] — a static model auditor (run before every solve) and
 //!   solution certificate checkers (primal/dual feasibility, integrality,
 //!   incumbent-within-gap) producing a structured [`AuditReport`];
@@ -65,10 +62,18 @@ pub mod sparse;
 pub mod standard;
 pub mod tol;
 
+// The LP test fixtures and reference oracle shared with the integration
+// suites, which name this crate `ras_milp`.
+#[cfg(test)]
+extern crate self as ras_milp;
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod test_common;
+
 pub use audit::{AuditCheck, AuditConfig, AuditIssue, AuditMode, AuditReport, Severity};
 pub use branch::BranchAndBound;
 pub use expr::{LinExpr, Var};
 pub use localsearch::LocalSearch;
 pub use model::{Constraint, Model, Sense, VarType};
-pub use simplex::{Basis, BasisStats, DualPricingRule, PricingRule, PricingStats};
+pub use simplex::{Basis, BasisStats, PricingStats};
 pub use solution::{Solution, SolveConfig, SolveError, SolveStats, Status, WarmStart};

@@ -7,14 +7,13 @@
 //! reach so each step costs time proportional to the fill it actually
 //! produces. The factors are stored column-wise in [`CscStore`]s.
 //!
-//! Two update schemes sit on top of a factorization:
-//!
-//! * the legacy product-form *eta file* (kept in `simplex.rs` as the
-//!   differential baseline), which appends one rank-one eta per pivot and
-//!   loses sparsity and accuracy on long pivot sequences; and
-//! * [`FtFactors`] — Forrest–Tomlin updates that modify `U` in place per
-//!   pivot, keeping the factorization genuinely triangular so `ftran` /
-//!   `btran` residuals stay bounded between refactorizations.
+//! [`FtFactors`] maintains a factorization across pivots with
+//! Forrest–Tomlin updates, which modify `U` in place per pivot and keep
+//! it genuinely triangular, so `ftran` / `btran` residuals stay bounded
+//! between refactorizations. (A product-form eta file, which appends one
+//! rank-one eta per pivot, loses sparsity and accuracy on long pivot
+//! sequences; `tests/dual_differential.rs` keeps one as the regression
+//! baseline.)
 
 use crate::cast;
 use crate::nan::NanGuard;
@@ -279,41 +278,6 @@ impl LuFactors {
             v[self.pivot_row[k]] = s;
         }
     }
-
-    /// Solves `Bᵀ ρ = e_slot` (BTRAN of a unit vector) into `v`, which is
-    /// overwritten entirely. Equivalent to zeroing `v`, setting
-    /// `v[slot] = 1`, and calling [`btran`](Self::btran), but skips the
-    /// Uᵀ forward-solve prefix before the step that eliminated `slot`
-    /// (everything earlier stays zero). This is the pricing engine's
-    /// pivot-row extraction: `ρ = B⁻ᵀ e_r` feeds the α-row kernel that
-    /// updates reduced costs incrementally. `scratch` must have length
-    /// `m`; its prior contents are ignored.
-    // lint:allow(hot-path-index): triangular solve over m-length pivot_row/order permutation arrays
-    pub fn btran_unit(&self, slot: usize, v: &mut [f64], scratch: &mut [f64]) {
-        let m = self.m;
-        let k0 = self.step_of_slot[slot];
-        // Uᵀ forward solve starting at k0; steps before k0 are zero, so
-        // guard reads of `scratch` against the unsolved (stale) prefix.
-        for k in k0..m {
-            let mut s = if k == k0 { 1.0 } else { 0.0 };
-            for (t, uv) in self.u.column(k) {
-                if t >= k0 {
-                    s -= uv * scratch[t];
-                }
-            }
-            scratch[k] = s / self.u_diag[k];
-        }
-        // Lᵀ backward solve. L's column `k` only reads rows pivoted by
-        // later steps, all written earlier in this sweep, so `v` needs no
-        // pre-zeroing: every row is assigned exactly once.
-        for k in (0..m).rev() {
-            let mut s = if k < k0 { 0.0 } else { scratch[k] };
-            for (r, lv) in self.l.column(k) {
-                s -= lv * v[r];
-            }
-            v[self.pivot_row[k]] = s;
-        }
-    }
 }
 
 /// Why a Forrest–Tomlin update was refused (the caller must refactorize
@@ -527,8 +491,8 @@ impl FtFactors {
 
     /// Solves `Bᵀ ρ = e_slot` into `v` (overwritten entirely), skipping
     /// the Uᵀ forward-solve prefix before the replaced step's *position*
-    /// — the same pricing fast path as [`LuFactors::btran_unit`], but
-    /// valid with updates applied. `scratch` contents are ignored.
+    /// — the pricing engine's pivot-row extraction, valid with updates
+    /// applied. `scratch` contents are ignored.
     pub fn btran_unit(&self, slot: usize, v: &mut [f64], scratch: &mut [f64]) {
         let t0 = self.step_of_slot[slot];
         let p0 = cast::idx(self.pos[t0]);
@@ -837,30 +801,6 @@ mod tests {
             vec![(0, 1.0), (1, 1.0), (2, 2.0)],
         ];
         assert!(LuFactors::factorize(3, &cols, 1e-12).is_none());
-    }
-
-    #[test]
-    fn btran_unit_matches_btran_of_unit_vector() {
-        let cols = vec![
-            vec![(0, 1.0)],
-            vec![(1, 2.0), (3, 1.0)],
-            vec![(2, -1.0)],
-            vec![(1, 1.0), (3, 3.0), (4, 1.0)],
-            vec![(4, 1.0), (0, 0.5)],
-        ];
-        let m = cols.len();
-        let lu = LuFactors::factorize(m, &cols, 1e-12).expect("nonsingular");
-        let mut scratch = vec![0.0; m];
-        for slot in 0..m {
-            let mut expected = vec![0.0; m];
-            expected[slot] = 1.0;
-            lu.btran(&mut expected, &mut scratch);
-            // Poison the outputs so btran_unit has to overwrite them.
-            let mut got = vec![f64::NAN; m];
-            let mut dirty = vec![f64::NAN; m];
-            lu.btran_unit(slot, &mut got, &mut dirty);
-            assert_close(&got, &expected);
-        }
     }
 
     /// Deterministic xorshift for reproducible update sequences.

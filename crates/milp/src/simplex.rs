@@ -1,51 +1,43 @@
 //! Bounded-variable revised simplex: two-phase primal, plus a true dual
 //! simplex for warm re-solves.
 //!
-//! The engine abstracts its basis-inverse representation behind
-//! [`BasisEngine`]: a dense `B⁻¹` (product-form updates, Gauss-Jordan
-//! refactorization) for small instances, and a sparse LU factorization
-//! (see [`crate::lu`]) for region-scale models, where `m²` doubles would
-//! not even fit in memory. The sparse engine maintains its factors with
-//! Forrest–Tomlin updates ([`crate::lu::FtFactors`]), which keep `U`
-//! genuinely triangular between refactorizations; the legacy product-form
-//! eta file survives as [`BasisEngine::SparseEta`] for differential
-//! testing. All representations are rebuilt every few hundred pivots —
-//! or early, when an update reports instability or fill growth.
+//! The basis is held as a sparse LU factorization (see [`crate::lu`])
+//! maintained with Forrest–Tomlin updates ([`crate::lu::FtFactors`]),
+//! which keep `U` genuinely triangular between refactorizations. The
+//! factors are rebuilt every few hundred pivots — or early, when an
+//! update reports instability or fill growth.
+//!
+//! Entering columns are priced by devex over incrementally maintained
+//! reduced costs; above `PARTIAL_MIN_COLS` (4 096) columns the devex
+//! scan is restricted to a rotating candidate list (partial devex). After
+//! a long degenerate run the engine switches to Bland's rule on exact
+//! reduced costs, which guarantees termination.
 //!
 //! Cold solves start from a *crash* basis: every row whose residual fits
 //! inside its slack's bounds gets the slack basic (no phase-1 work);
 //! only the remaining rows receive an artificial variable, and phase 1
 //! minimizes their sum. Phase 2 then minimizes the true objective.
-//! Anti-cycling uses Bland's rule after a run of degenerate pivots.
 //!
-//! Warm solves ([`solve_lp_warm`]) skip both phases: a bound or RHS
-//! change leaves the persisted basis *dual* feasible, so the dual simplex
-//! (dual devex pricing, bound-flip ratio test) walks straight back to
-//! optimality with **zero phase-1 iterations** — the re-solve path the
-//! RAS session hits every round.
+//! Warm solves skip both phases. [`solve_lp_warm`] — the root re-solve
+//! the RAS session hits every round — runs the dual simplex (dual devex
+//! pricing, bound-flip ratio test): a bound or RHS change leaves the
+//! persisted basis *dual* feasible, so it walks straight back to
+//! optimality with **zero phase-1 iterations**. Branch-and-bound node
+//! and dive re-solves change a single bound and use a one-row-at-a-time
+//! repair instead (`solve_lp_node`), which keeps nonbasic integer
+//! columns where they are.
 
 use crate::cast;
-use crate::lu::{FtFactors, FtReject, LuFactors};
+use crate::lu::{FtFactors, LuFactors};
 use crate::nan::NanGuard;
 use crate::standard::StandardForm;
 use crate::tol;
 
-/// Above this row count, [`BasisEngine::Auto`] switches from the dense
-/// basis inverse to the sparse LU engine.
-pub const AUTO_DENSE_MAX_ROWS: usize = 256;
-
-/// Above this many columns (structural + slack + artificial),
-/// [`PricingRule::Auto`] switches from full devex pricing to partial
-/// devex over a candidate list: below it a full scan per pivot is cheap
-/// and the better pivot quality wins; above it the scan itself is the
-/// bottleneck.
-pub const AUTO_PARTIAL_MIN_COLS: usize = 4096;
-
-/// Hard row cap for the *explicitly requested* dense engine: the dense
-/// `B⁻¹` needs `m²` doubles, so beyond this the solve is refused with
-/// [`LpStatus::TooLarge`] instead of aborting on out-of-memory.
-/// [`BasisEngine::Auto`] and [`BasisEngine::SparseLu`] have no cap.
-pub const DENSE_MAX_ROWS: usize = 25_000;
+/// Above this many columns (structural + slack + artificial), pricing
+/// switches from full devex to partial devex over a candidate list:
+/// below it a full scan per pivot is cheap and the better pivot quality
+/// wins; above it the scan itself is the bottleneck.
+const PARTIAL_MIN_COLS: usize = 4096;
 
 /// Dual pivots between full reduced-cost refreshes: the dual iteration
 /// patches `d` incrementally along each α-row, and the accumulated
@@ -64,57 +56,6 @@ pub enum LpStatus {
     Unbounded,
     /// Iteration limit reached before optimality.
     IterationLimit,
-    /// The model exceeds the requested engine's size cap (only the
-    /// explicit dense engine has one). The result carries no usable
-    /// objective or bound; callers must branch on this status.
-    TooLarge,
-}
-
-/// Entering-variable pricing rule (see [`SimplexConfig::pricing`]).
-///
-/// All rules select from the same eligibility set (reduced cost pushes
-/// the objective down from the bound the variable rests on), so every
-/// rule reaches the same optimum; they differ only in how many pivots
-/// they take and what each selection scan costs. Anti-cycling is
-/// orthogonal: after a long degenerate run the engine switches to
-/// Bland's rule on exact reduced costs regardless of the configured
-/// pricing rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
-pub enum PricingRule {
-    /// Devex up to [`AUTO_PARTIAL_MIN_COLS`] columns, partial devex
-    /// above.
-    #[default]
-    Auto,
-    /// Classic full scan for the most negative reduced cost. Cheapest
-    /// per scan only when reduced costs must be recomputed anyway; kept
-    /// as the differential-testing baseline.
-    Dantzig,
-    /// Devex reference-framework weights (Forrest & Goldfarb): pick the
-    /// maximizer of `d_j² / w_j` over maintained reduced costs, update
-    /// the weights of the columns touched by each pivot row.
-    Devex,
-    /// Devex merit restricted to a rotating candidate list, rebuilt from
-    /// a full scan only when the list runs dry. The default for large
-    /// models, where a full per-pivot scan dominates solve time.
-    PartialDevex,
-}
-
-/// Leaving-row pricing rule for the dual simplex (see
-/// [`SimplexConfig::dual_pricing`]). Like the primal rules, every rule
-/// reaches the same optimum; they differ only in pivot counts on
-/// degenerate rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
-pub enum DualPricingRule {
-    /// Currently resolves to [`DualDevex`](Self::DualDevex).
-    #[default]
-    Auto,
-    /// Largest bound violation — the textbook rule and the differential
-    /// baseline. Stalls on degenerate capacity rows where many basics
-    /// share the same violation.
-    Violation,
-    /// Dual devex: maximize `violation² / w_i` with reference-framework
-    /// row weights updated from each pivot's FTRAN direction.
-    DualDevex,
 }
 
 /// Pricing-engine counters for one LP solve.
@@ -135,13 +76,12 @@ pub struct PricingStats {
 /// warm basis), which are factorizations but not maintenance triggers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BasisStats {
-    /// Successful basis updates (eta pushes, FT column replacements, or
-    /// dense product-form updates).
+    /// Successful Forrest–Tomlin column replacements.
     pub updates: usize,
     /// Refactorizations on the fixed pivot-count interval.
     pub refactors_interval: usize,
-    /// Refactorizations because accumulated fill (spike length, eta
-    /// entries) outgrew the factorization's nonzeros.
+    /// Refactorizations because accumulated fill (spike length and
+    /// row-elimination etas) outgrew the factorization's nonzeros.
     pub refactors_growth: usize,
     /// Refactorizations because an update reported numerical instability
     /// (singular replacement diagonal, oversized multiplier).
@@ -153,13 +93,12 @@ pub struct BasisStats {
 pub struct LpResult {
     /// Status.
     pub status: LpStatus,
-    /// Objective value (meaningful for `Optimal` and `IterationLimit`;
-    /// NaN for `TooLarge`, which proves nothing).
+    /// Objective value (meaningful for `Optimal` and `IterationLimit`).
     pub objective: f64,
     /// Values for all structural + slack columns.
     pub values: Vec<f64>,
     /// Row duals `y` from the final pricing pass (meaningful on
-    /// `Optimal`; empty when there are no rows or the solve was refused).
+    /// `Optimal`; empty when there are no rows).
     pub duals: Vec<f64>,
     /// Total simplex iterations across both phases (dual included).
     pub iterations: usize,
@@ -296,27 +235,6 @@ impl Basis {
     }
 }
 
-/// Which basis-inverse representation the simplex engine uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BasisEngine {
-    /// Dense up to [`AUTO_DENSE_MAX_ROWS`] rows, sparse LU above.
-    #[default]
-    Auto,
-    /// Dense `B⁻¹`, refused beyond [`DENSE_MAX_ROWS`] rows. Kept for
-    /// differential testing against the sparse engines.
-    Dense,
-    /// Sparse LU factors maintained with Forrest–Tomlin updates
-    /// ([`crate::lu::FtFactors`]); no size cap. `U` stays genuinely
-    /// triangular across updates, so `btran`/`ftran` residuals stay
-    /// bounded on long pivot sequences.
-    SparseLu,
-    /// Sparse LU factors plus a product-form eta file; no size cap.
-    /// The pre-FT update scheme, kept as the differential baseline —
-    /// its accumulated etas lose sparsity and accuracy between
-    /// refactorizations.
-    SparseEta,
-}
-
 /// Tuning knobs for the simplex engine.
 #[derive(Debug, Clone)]
 pub struct SimplexConfig {
@@ -327,26 +245,8 @@ pub struct SimplexConfig {
     /// this from its own time limit so a single huge LP cannot blow
     /// through the solve budget.
     pub deadline: Option<std::time::Instant>,
-    /// Reduced-cost optimality tolerance.
-    pub opt_tol: f64,
-    /// Smallest pivot magnitude accepted.
-    pub pivot_tol: f64,
-    /// Primal feasibility tolerance.
-    pub feas_tol: f64,
-    /// Rebuild the basis representation after this many pivots.
+    /// Refactorize the basis after this many pivots.
     pub refactor_interval: usize,
-    /// Basis-inverse representation (see [`BasisEngine`]).
-    pub engine: BasisEngine,
-    /// Entering-variable pricing rule (see [`PricingRule`]).
-    pub pricing: PricingRule,
-    /// Leaving-row pricing rule for the dual simplex (see
-    /// [`DualPricingRule`]).
-    pub dual_pricing: DualPricingRule,
-    /// Route warm re-solves through the true dual simplex (bound-flip
-    /// ratio test, dual devex). `false` restores the legacy one-row
-    /// repair loop — kept as the warm-primal baseline for benches and
-    /// differential tests.
-    pub warm_dual: bool,
 }
 
 impl Default for SimplexConfig {
@@ -354,14 +254,7 @@ impl Default for SimplexConfig {
         Self {
             max_iterations: 200_000,
             deadline: None,
-            opt_tol: tol::OPT,
-            pivot_tol: tol::EPS,
-            feas_tol: tol::OPT,
             refactor_interval: 200,
-            engine: BasisEngine::default(),
-            pricing: PricingRule::default(),
-            dual_pricing: DualPricingRule::default(),
-            warm_dual: true,
         }
     }
 }
@@ -377,41 +270,18 @@ pub fn solve_lp(
     upper: &[f64],
     config: &SimplexConfig,
 ) -> LpResult {
-    if config.engine == BasisEngine::Dense && sf.num_rows > DENSE_MAX_ROWS {
-        return LpResult {
-            status: LpStatus::TooLarge,
-            // NaN on purpose: a refused solve proves nothing about the
-            // optimum, and callers must branch on the status instead of
-            // consuming the objective (an earlier NEG_INFINITY here once
-            // leaked into branch-and-bound as a "proven" bound).
-            objective: f64::NAN,
-            values: lower
-                .iter()
-                .zip(upper)
-                .map(|(l, u)| 0.0_f64.nmax(*l).nmin(*u))
-                .collect(),
-            duals: Vec::new(),
-            iterations: 0,
-            phase1_iterations: 0,
-            dual_iterations: 0,
-            used_dual_simplex: false,
-            refactorizations: 0,
-            basis_stats: BasisStats::default(),
-            pricing: PricingStats::default(),
-            basis: None,
-            warm_basis_used: false,
-        };
-    }
     Simplex::new(sf, lower, upper, config.clone()).run()
 }
 
-/// Like [`solve_lp`] but warm-started from a previous optimal basis.
+/// Like [`solve_lp`] but warm-started from a previous optimal basis
+/// through the dual simplex.
 ///
-/// After a branch-and-bound bound change, the old basis stays dual
-/// feasible; a short dual-simplex repair restores primal feasibility and
-/// a primal cleanup finishes. Falls back to a cold start whenever the
-/// warm basis is unusable (singular, stale, or the repair stalls), so the
-/// result is always identical to a cold solve up to degeneracy.
+/// After a bound or RHS change the old basis stays dual feasible; the
+/// dual simplex restores primal feasibility with zero phase-1 iterations
+/// and a primal cleanup certifies optimality. Falls back to a cold start
+/// whenever the warm basis is unusable (singular, stale, or the repair
+/// stalls), so the result is always identical to a cold solve up to
+/// degeneracy.
 pub fn solve_lp_warm(
     sf: &StandardForm,
     lower: &[f64],
@@ -419,322 +289,57 @@ pub fn solve_lp_warm(
     config: &SimplexConfig,
     warm: Option<&Basis>,
 ) -> LpResult {
+    warm_or_cold(sf, lower, upper, config, warm, Simplex::dual_repair)
+}
+
+/// Branch-and-bound re-solve of a node whose bounds differ from its
+/// parent's by a branching step: warm-started like [`solve_lp_warm`],
+/// but primal feasibility is repaired one violated row at a time, each
+/// pivot taking the entering column with the smallest dual ratio.
+///
+/// A branch changes a single bound, and the long-step dual's bound flips
+/// would jump whole runs of nonbasic integer columns to their opposite
+/// bounds, scrambling the vertex trajectory the search (and any
+/// downstream solve built from this solution) depends on staying
+/// near-integral; with them, node relaxations land on fractional
+/// alternate optima and phase 2 of a round stalls for dozens of nodes.
+pub(crate) fn solve_lp_node(
+    sf: &StandardForm,
+    lower: &[f64],
+    upper: &[f64],
+    config: &SimplexConfig,
+    warm: Option<&Basis>,
+) -> LpResult {
+    warm_or_cold(sf, lower, upper, config, warm, Simplex::row_repair)
+}
+
+/// Installs `warm` and finishes the solve with `repair`; solves cold when
+/// there is no basis, it does not fit the model, or the repair gives up.
+fn warm_or_cold<'a>(
+    sf: &'a StandardForm,
+    lower: &[f64],
+    upper: &[f64],
+    config: &SimplexConfig,
+    warm: Option<&Basis>,
+    repair: impl FnOnce(Simplex<'a>) -> Option<LpResult>,
+) -> LpResult {
     if let Some(basis) = warm {
-        if sf.num_rows > 0
-            && basis.basis.len() == sf.num_rows
-            && !(config.engine == BasisEngine::Dense && sf.num_rows > DENSE_MAX_ROWS)
-        {
-            let simplex = Simplex::new(sf, lower, upper, config.clone());
-            if let Some(result) = simplex.run_warm(basis) {
-                return result;
+        if sf.num_rows > 0 && basis.basis.len() == sf.num_rows {
+            let mut simplex = Simplex::new(sf, lower, upper, config.clone());
+            if simplex.install_warm(basis) {
+                if let Some(result) = repair(simplex) {
+                    return result;
+                }
             }
         }
     }
     solve_lp(sf, lower, upper, config)
 }
 
-/// One product-form (eta) update: after a pivot on basis slot `row` with
-/// direction `w = B⁻¹A_q`, the new inverse is `E·B⁻¹` where `E` is the
-/// identity except for column `row`, rebuilt from `w`.
-struct Eta {
-    row: usize,
-    pivot: f64,
-    /// Off-pivot nonzeros of `w`.
-    entries: Vec<(u32, f64)>,
-}
-
-/// Dense basis inverse: row-major `B⁻¹` with rows indexed by basis slot
-/// and columns by constraint row.
-struct DenseBasis {
-    m: usize,
-    binv: Vec<f64>,
-    scratch: Vec<f64>,
-}
-
-impl DenseBasis {
-    fn new(m: usize) -> Self {
-        Self {
-            m,
-            binv: vec![0.0; m * m],
-            scratch: vec![0.0; m],
-        }
-    }
-
-    // lint:allow(hot-path-index): eta diagonal indexed by basis slot, bounded by m
-    fn reset_diagonal(&mut self, signs: &[f64]) {
-        self.binv.iter_mut().for_each(|v| *v = 0.0);
-        for (i, &s) in signs.iter().enumerate() {
-            self.binv[i * self.m + i] = s;
-        }
-    }
-
-    /// `v := B⁻¹ v` (row space in, slot space out), exploiting sparsity
-    /// of the input.
-    // lint:allow(hot-path-index): eta-file application over slots bounded by m
-    fn ftran(&mut self, v: &mut [f64]) {
-        let m = self.m;
-        self.scratch.iter_mut().for_each(|s| *s = 0.0);
-        for (col, &val) in v.iter().enumerate() {
-            if val != 0.0 {
-                for (r, s) in self.scratch.iter_mut().enumerate() {
-                    *s += self.binv[r * m + col] * val;
-                }
-            }
-        }
-        v.copy_from_slice(&self.scratch);
-    }
-
-    /// `v := B⁻ᵀ v` (slot space in, row space out), exploiting sparsity
-    /// of the input.
-    // lint:allow(hot-path-index): eta-file application over slots bounded by m
-    fn btran(&mut self, v: &mut [f64]) {
-        let m = self.m;
-        self.scratch.iter_mut().for_each(|s| *s = 0.0);
-        for (i, &vi) in v.iter().enumerate() {
-            if vi != 0.0 {
-                let row = &self.binv[i * m..(i + 1) * m];
-                for (k, s) in self.scratch.iter_mut().enumerate() {
-                    *s += vi * row[k];
-                }
-            }
-        }
-        v.copy_from_slice(&self.scratch);
-    }
-
-    fn rho(&self, row: usize, out: &mut [f64]) {
-        out.copy_from_slice(&self.binv[row * self.m..(row + 1) * self.m]);
-    }
-
-    /// Product-form update of `B⁻¹` after a pivot at `row` with
-    /// direction `w`.
-    // lint:allow(hot-path-index): eta file append; slot indices bounded by m
-    fn update(&mut self, row: usize, w: &[f64]) {
-        let m = self.m;
-        let pivot_val = w[row];
-        let (head, tail) = self.binv.split_at_mut(row * m);
-        let (pivot_row, rest) = tail.split_at_mut(m);
-        for v in pivot_row.iter_mut() {
-            *v /= pivot_val;
-        }
-        for (i, chunk) in head.chunks_mut(m).enumerate() {
-            let w_i = w[i];
-            if w_i != 0.0 {
-                for (c, v) in chunk.iter_mut().enumerate() {
-                    *v -= w_i * pivot_row[c];
-                }
-            }
-        }
-        for (k, chunk) in rest.chunks_mut(m).enumerate() {
-            let w_i = w[row + 1 + k];
-            if w_i != 0.0 {
-                for (c, v) in chunk.iter_mut().enumerate() {
-                    *v -= w_i * pivot_row[c];
-                }
-            }
-        }
-    }
-
-    /// Rebuilds `B⁻¹` by Gauss-Jordan elimination with partial pivoting.
-    /// Returns false (keeping the old inverse) on a singular basis.
-    // lint:allow(hot-path-index): rebuilds basis columns; slots and rows bounded by m
-    fn refactor(&mut self, cols: &[Vec<(usize, f64)>]) -> bool {
-        let m = self.m;
-        let mut b_mat = vec![0.0; m * m];
-        for (col, entries) in cols.iter().enumerate() {
-            for &(r, v) in entries {
-                b_mat[r * m + col] = v;
-            }
-        }
-        let mut inv = vec![0.0; m * m];
-        for i in 0..m {
-            inv[i * m + i] = 1.0;
-        }
-        for col in 0..m {
-            // Partial pivot.
-            let mut best_row = col;
-            let mut best = b_mat[col * m + col].abs();
-            for r in col + 1..m {
-                let v = b_mat[r * m + col].abs();
-                if v > best {
-                    best = v;
-                    best_row = r;
-                }
-            }
-            if best <= tol::DROP {
-                return false;
-            }
-            if best_row != col {
-                for k in 0..m {
-                    b_mat.swap(col * m + k, best_row * m + k);
-                    inv.swap(col * m + k, best_row * m + k);
-                }
-            }
-            let p = b_mat[col * m + col];
-            for k in 0..m {
-                b_mat[col * m + k] /= p;
-                inv[col * m + k] /= p;
-            }
-            for r in 0..m {
-                if r == col {
-                    continue;
-                }
-                let f = b_mat[r * m + col];
-                if f != 0.0 {
-                    for k in 0..m {
-                        b_mat[r * m + k] -= f * b_mat[col * m + k];
-                        inv[r * m + k] -= f * inv[col * m + k];
-                    }
-                }
-            }
-        }
-        self.binv = inv;
-        true
-    }
-}
-
-/// Sparse basis: an LU factorization plus the eta file of product-form
-/// updates accumulated since the last refactorization (oldest first).
-struct SparseBasis {
-    m: usize,
-    lu: LuFactors,
-    etas: Vec<Eta>,
-    scratch: Vec<f64>,
-}
-
-impl SparseBasis {
-    fn new(m: usize) -> Self {
-        Self {
-            m,
-            lu: LuFactors::diagonal(&vec![1.0; m]),
-            etas: Vec::new(),
-            scratch: vec![0.0; m],
-        }
-    }
-
-    fn reset_diagonal(&mut self, signs: &[f64]) {
-        self.lu = LuFactors::diagonal(signs);
-        self.etas.clear();
-    }
-
-    /// `v := B⁻¹ v`: LU solve, then the etas in creation order.
-    // lint:allow(hot-path-index): eta-file application over slots bounded by m
-    fn ftran(&mut self, v: &mut [f64]) {
-        self.lu.ftran(v, &mut self.scratch);
-        for eta in &self.etas {
-            let t = v[eta.row] / eta.pivot;
-            v[eta.row] = t;
-            if t != 0.0 {
-                for &(r, wv) in &eta.entries {
-                    v[cast::idx(r)] -= wv * t;
-                }
-            }
-        }
-    }
-
-    /// `v := B⁻ᵀ v`: eta transposes in reverse order, then the LU solve.
-    // lint:allow(hot-path-index): eta-file application over slots bounded by m
-    fn btran(&mut self, v: &mut [f64]) {
-        for eta in self.etas.iter().rev() {
-            let mut s = v[eta.row];
-            for &(r, wv) in &eta.entries {
-                s -= wv * v[cast::idx(r)];
-            }
-            v[eta.row] = s / eta.pivot;
-        }
-        self.lu.btran(v, &mut self.scratch);
-    }
-
-    fn rho(&mut self, row: usize, out: &mut [f64]) {
-        if self.etas.is_empty() {
-            // Right after a (re)factorization the unit BTRAN can skip
-            // the solve prefix before the step that pivoted `row`.
-            self.lu.btran_unit(row, out, &mut self.scratch);
-        } else {
-            out.iter_mut().for_each(|v| *v = 0.0);
-            out[row] = 1.0;
-            self.btran(out);
-        }
-    }
-
-    fn update(&mut self, row: usize, w: &[f64]) {
-        let entries = w
-            .iter()
-            .enumerate()
-            .filter(|&(i, &wv)| i != row && wv != 0.0)
-            .map(|(i, &wv)| (cast::idx32(i), wv))
-            .collect();
-        self.etas.push(Eta {
-            row,
-            pivot: w[row],
-            entries,
-        });
-    }
-
-    fn refactor(&mut self, cols: &[Vec<(usize, f64)>]) -> bool {
-        match LuFactors::factorize(self.m, cols, tol::DROP) {
-            Some(lu) => {
-                self.lu = lu;
-                self.etas.clear();
-                true
-            }
-            None => false,
-        }
-    }
-}
-
 /// Once the Forrest–Tomlin factors (spike fill plus row-elimination
 /// etas) outgrow the fresh factorization's nonzeros by this factor, a
 /// refactorization is cheaper than dragging the fill along.
 const FT_MAX_FILL_RATIO: f64 = 4.0;
-
-/// Sparse basis with Forrest–Tomlin maintenance: each pivot replaces a
-/// column of `U` in place (spike insertion + row elimination), keeping
-/// `U` genuinely triangular instead of stacking product-form etas.
-struct FtBasis {
-    ft: FtFactors,
-    scratch: Vec<f64>,
-}
-
-impl FtBasis {
-    fn new(m: usize) -> Self {
-        Self {
-            ft: FtFactors::diagonal(&vec![1.0; m]),
-            scratch: vec![0.0; m],
-        }
-    }
-
-    fn reset_diagonal(&mut self, signs: &[f64]) {
-        self.ft = FtFactors::diagonal(signs);
-    }
-
-    fn ftran(&mut self, v: &mut [f64]) {
-        self.ft.ftran(v, &mut self.scratch);
-    }
-
-    fn btran(&mut self, v: &mut [f64]) {
-        self.ft.btran(v, &mut self.scratch);
-    }
-
-    fn rho(&mut self, row: usize, out: &mut [f64]) {
-        // Unlike the eta file, FT's unit BTRAN stays position-pruned
-        // across updates, so the fast path never degrades.
-        self.ft.btran_unit(row, out, &mut self.scratch);
-    }
-
-    fn update(&mut self, row: usize, w: &[f64]) -> Result<(), FtReject> {
-        self.ft.update(row, w)
-    }
-
-    fn refactor(&mut self, cols: &[Vec<(usize, f64)>]) -> bool {
-        match LuFactors::factorize(self.ft.dim(), cols, tol::DROP) {
-            Some(lu) => {
-                self.ft = FtFactors::from_lu(lu);
-                true
-            }
-            None => false,
-        }
-    }
-}
 
 /// Why a refactorization was triggered (counted in [`BasisStats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -745,93 +350,6 @@ enum RefactorReason {
     Growth,
     /// An update reported numerical instability.
     Accuracy,
-}
-
-/// Basis-inverse representation, dispatching to the dense or sparse
-/// engine (see [`BasisEngine`]).
-// One instance lives per simplex solve; the size spread between the
-// variants is irrelevant and boxing would only add an indirection.
-#[allow(clippy::large_enum_variant)]
-enum BasisRepr {
-    Dense(DenseBasis),
-    Sparse(SparseBasis),
-    Ft(FtBasis),
-}
-
-impl BasisRepr {
-    /// Installs the inverse of the diagonal crash basis `diag(signs)`.
-    fn reset_diagonal(&mut self, signs: &[f64]) {
-        match self {
-            BasisRepr::Dense(d) => d.reset_diagonal(signs),
-            BasisRepr::Sparse(s) => s.reset_diagonal(signs),
-            BasisRepr::Ft(f) => f.reset_diagonal(signs),
-        }
-    }
-
-    /// `v := B⁻¹ v` (constraint-row space in, basis-slot space out).
-    fn ftran(&mut self, v: &mut [f64]) {
-        match self {
-            BasisRepr::Dense(d) => d.ftran(v),
-            BasisRepr::Sparse(s) => s.ftran(v),
-            BasisRepr::Ft(f) => f.ftran(v),
-        }
-    }
-
-    /// `v := B⁻ᵀ v` (basis-slot space in, constraint-row space out).
-    fn btran(&mut self, v: &mut [f64]) {
-        match self {
-            BasisRepr::Dense(d) => d.btran(v),
-            BasisRepr::Sparse(s) => s.btran(v),
-            BasisRepr::Ft(f) => f.btran(v),
-        }
-    }
-
-    /// Row `row` of `B⁻¹` (equivalently `B⁻ᵀ e_row`) into `out`.
-    fn rho(&mut self, row: usize, out: &mut [f64]) {
-        match self {
-            BasisRepr::Dense(d) => d.rho(row, out),
-            BasisRepr::Sparse(s) => s.rho(row, out),
-            BasisRepr::Ft(f) => f.rho(row, out),
-        }
-    }
-
-    /// Basis update after a pivot at slot `row` with direction
-    /// `w = B⁻¹A_q` (dense: rank-one row operations; eta: product-form
-    /// push; FT: in-place column replacement). Returns false when the
-    /// update was rejected as numerically unsafe — the representation is
-    /// untouched and the caller must refactorize before the next solve.
-    fn update(&mut self, row: usize, w: &[f64]) -> bool {
-        match self {
-            BasisRepr::Dense(d) => {
-                d.update(row, w);
-                true
-            }
-            BasisRepr::Sparse(s) => {
-                s.update(row, w);
-                true
-            }
-            BasisRepr::Ft(f) => f.update(row, w).is_ok(),
-        }
-    }
-
-    /// Whether accumulated fill has outgrown the representation enough
-    /// that an early refactorization pays for itself.
-    fn fill_exceeded(&self) -> bool {
-        match self {
-            BasisRepr::Dense(_) | BasisRepr::Sparse(_) => false,
-            BasisRepr::Ft(f) => f.ft.update_count() > 0 && f.ft.fill_ratio() > FT_MAX_FILL_RATIO,
-        }
-    }
-
-    /// Rebuilds the representation from the given basis columns. Returns
-    /// false on a numerically singular basis, keeping the old state.
-    fn refactor(&mut self, cols: &[Vec<(usize, f64)>]) -> bool {
-        match self {
-            BasisRepr::Dense(d) => d.refactor(cols),
-            BasisRepr::Sparse(s) => s.refactor(cols),
-            BasisRepr::Ft(f) => f.refactor(cols),
-        }
-    }
 }
 
 struct Simplex<'a> {
@@ -849,8 +367,10 @@ struct Simplex<'a> {
     basis: Vec<usize>,
     /// Row of a basic variable, or `usize::MAX` when nonbasic.
     position: Vec<usize>,
-    /// Basis-inverse representation (dense or sparse LU).
-    repr: BasisRepr,
+    /// Forrest–Tomlin-updated LU factors of the basis.
+    ft: FtFactors,
+    /// Solve workspace for `ft`.
+    ft_scratch: Vec<f64>,
     /// Current value of every variable.
     x: Vec<f64>,
     /// Nonbasic-at-upper flag.
@@ -871,10 +391,9 @@ struct Simplex<'a> {
     w: Vec<f64>,
     rho: Vec<f64>,
     // Pricing engine state (see `select_entering`).
-    /// Configured rule with `Auto` resolved at construction.
-    rule: PricingRule,
-    /// Configured dual rule with `Auto` resolved at construction.
-    dual_rule: DualPricingRule,
+    /// Partial devex over a candidate list instead of full devex scans
+    /// (more than [`PARTIAL_MIN_COLS`] columns).
+    partial: bool,
     /// Maintained reduced costs `d_j = c_j − yᵀA_j` for every column.
     d: Vec<f64>,
     /// Whether `d` matches the current basis (up to incremental drift).
@@ -908,32 +427,6 @@ impl<'a> Simplex<'a> {
         up.extend_from_slice(upper);
         lo.extend(std::iter::repeat_n(0.0, m));
         up.extend(std::iter::repeat_n(f64::INFINITY, m));
-        let repr = match config.engine {
-            BasisEngine::Dense => BasisRepr::Dense(DenseBasis::new(m)),
-            BasisEngine::SparseEta => BasisRepr::Sparse(SparseBasis::new(m)),
-            BasisEngine::SparseLu => BasisRepr::Ft(FtBasis::new(m)),
-            BasisEngine::Auto => {
-                if m > AUTO_DENSE_MAX_ROWS {
-                    BasisRepr::Ft(FtBasis::new(m))
-                } else {
-                    BasisRepr::Dense(DenseBasis::new(m))
-                }
-            }
-        };
-        let rule = match config.pricing {
-            PricingRule::Auto => {
-                if total > AUTO_PARTIAL_MIN_COLS {
-                    PricingRule::PartialDevex
-                } else {
-                    PricingRule::Devex
-                }
-            }
-            explicit => explicit,
-        };
-        let dual_rule = match config.dual_pricing {
-            DualPricingRule::Auto => DualPricingRule::DualDevex,
-            explicit => explicit,
-        };
         Self {
             sf,
             config,
@@ -945,7 +438,8 @@ impl<'a> Simplex<'a> {
             art_sign: vec![1.0; m],
             basis: vec![0; m],
             position: vec![usize::MAX; total],
-            repr,
+            ft: FtFactors::diagonal(&vec![1.0; m]),
+            ft_scratch: vec![0.0; m],
             x: vec![0.0; total],
             at_upper: vec![false; total],
             iterations: 0,
@@ -960,8 +454,7 @@ impl<'a> Simplex<'a> {
             y: vec![0.0; m],
             w: vec![0.0; m],
             rho: vec![0.0; m],
-            rule,
-            dual_rule,
+            partial: total > PARTIAL_MIN_COLS,
             d: vec![0.0; total],
             d_valid: false,
             d_fresh: false,
@@ -1006,9 +499,7 @@ impl<'a> Simplex<'a> {
                 return self.finish(LpStatus::IterationLimit);
             }
             let infeas: f64 = (0..self.m).map(|i| self.x[self.n0 + i]).sum();
-            if infeas
-                > self.config.feas_tol * (1.0 + self.sf.rhs.iter().map(|v| v.abs()).sum::<f64>())
-            {
+            if infeas > tol::OPT * (1.0 + self.sf.rhs.iter().map(|v| v.abs()).sum::<f64>()) {
                 return self.finish(LpStatus::Infeasible);
             }
         }
@@ -1128,8 +619,8 @@ impl<'a> Simplex<'a> {
                 signs[i] = sign;
             }
         }
-        // B = diag(signs), so B⁻¹ = diag(signs).
-        self.repr.reset_diagonal(&signs);
+        // B = diag(signs), factored as itself.
+        self.ft = FtFactors::diagonal(&signs);
     }
 
     /// Runs pivots until optimal / unbounded / iteration limit.
@@ -1185,7 +676,7 @@ impl<'a> Simplex<'a> {
                     // duals and every reduced cost — unchanged; only the
                     // flipped column's eligibility sign changes, which
                     // `eligible_d` reads live.
-                    if t <= self.config.feas_tol {
+                    if t <= tol::OPT {
                         self.degenerate_run += 1;
                     } else {
                         self.degenerate_run = 0;
@@ -1195,22 +686,17 @@ impl<'a> Simplex<'a> {
                     let leaving = self.basis[row];
                     // The α-row (`ρᵀA` for ρ = B⁻ᵀe_row) must come from
                     // the *pre-pivot* basis, so extract it before
-                    // `apply_step` pushes the product-form update.
-                    let incremental = self.rule != PricingRule::Dantzig
-                        && self.d_valid
-                        && self.prepare_pivot_row(row, q);
+                    // `apply_step` updates the factors.
+                    let incremental = self.d_valid && self.prepare_pivot_row(row, q);
                     self.apply_step(q, sigma, t, Some((row, to_upper)));
                     if incremental {
                         self.update_pricing_after_pivot(q, leaving, d_q);
-                        self.d_fresh = false;
                     } else {
-                        // Dantzig recomputes from scratch every pivot
-                        // (the baseline behaviour); the devex rules fall
-                        // back to a refresh when the α-row was unusable.
+                        // The α-row was unusable: refresh from the duals.
                         self.d_valid = false;
-                        self.d_fresh = false;
                     }
-                    if t <= self.config.feas_tol {
+                    self.d_fresh = false;
+                    if t <= tol::OPT {
                         self.degenerate_run += 1;
                     } else {
                         self.degenerate_run = 0;
@@ -1230,7 +716,7 @@ impl<'a> Simplex<'a> {
     fn maintain_basis(&mut self) -> bool {
         let reason = if self.update_rejected {
             Some(RefactorReason::Accuracy)
-        } else if self.repr.fill_exceeded() {
+        } else if self.ft.update_count() > 0 && self.ft.fill_ratio() > FT_MAX_FILL_RATIO {
             Some(RefactorReason::Growth)
         } else if self.pivots_since_refactor >= self.config.refactor_interval {
             Some(RefactorReason::Interval)
@@ -1269,14 +755,14 @@ impl<'a> Simplex<'a> {
         for i in 0..self.m {
             self.y[i] = self.costs[self.basis[i]];
         }
-        self.repr.btran(&mut self.y);
+        self.ft.btran(&mut self.y, &mut self.ft_scratch);
     }
 
     /// Selects an entering column; returns `(column, reduced cost)`.
     ///
     /// Reduced costs are *maintained*: refreshed from the duals only
-    /// when invalidated (phase entry, refactorization, Dantzig baseline,
-    /// a failed α-row update) and otherwise patched incrementally per
+    /// when invalidated (phase entry, refactorization, a failed α-row
+    /// update) and otherwise patched incrementally per
     /// pivot. Because the incremental path may drift, `None` — proven
     /// optimality — is only ever returned after a scan over freshly
     /// recomputed reduced costs.
@@ -1303,11 +789,10 @@ impl<'a> Simplex<'a> {
     }
 
     fn pick_by_rule(&mut self) -> Option<(usize, f64)> {
-        match self.rule {
-            PricingRule::Dantzig => self.pick_dantzig(),
-            PricingRule::Devex => self.pick_devex(),
-            PricingRule::PartialDevex => self.pick_partial(),
-            PricingRule::Auto => unreachable!("Auto is resolved at construction"),
+        if self.partial {
+            self.pick_partial()
+        } else {
+            self.pick_devex()
         }
     }
 
@@ -1324,7 +809,7 @@ impl<'a> Simplex<'a> {
         }
         self.d_valid = true;
         self.d_fresh = true;
-        if self.rule == PricingRule::PartialDevex {
+        if self.partial {
             // Stale candidates were ranked on drifted costs.
             self.candidates.clear();
         }
@@ -1338,13 +823,12 @@ impl<'a> Simplex<'a> {
             return None;
         }
         let d = self.d[j];
-        let tol = self.config.opt_tol;
         let eligible = if self.is_free(j) {
-            d.abs() > tol
+            d.abs() > tol::OPT
         } else if self.at_upper[j] {
-            d > tol
+            d > tol::OPT
         } else {
-            d < -tol
+            d < -tol::OPT
         };
         eligible.then_some(d)
     }
@@ -1352,21 +836,6 @@ impl<'a> Simplex<'a> {
     /// Bland's rule: the first eligible column.
     fn pick_bland(&self) -> Option<(usize, f64)> {
         (0..self.n0 + self.m).find_map(|j| self.eligible_d(j).map(|d| (j, d)))
-    }
-
-    /// Dantzig: most negative (largest-magnitude) reduced cost.
-    fn pick_dantzig(&self) -> Option<(usize, f64)> {
-        let mut best: Option<(usize, f64)> = None;
-        for j in 0..self.n0 + self.m {
-            let Some(d) = self.eligible_d(j) else {
-                continue;
-            };
-            match best {
-                Some((_, bd)) if d.abs() <= bd.abs() => {}
-                _ => best = Some((j, d)),
-            }
-        }
-        best
     }
 
     /// Devex: maximize `d_j² / w_j` over all eligible columns.
@@ -1457,7 +926,7 @@ impl<'a> Simplex<'a> {
     /// Returns false — caller falls back to a full refresh — when the
     /// α-row disagrees with the FTRAN'd direction on the entering
     /// column (`α_q` must equal `w[row]`), which signals numerical
-    /// drift in the basis representation.
+    /// drift in the basis factors.
     fn prepare_pivot_row(&mut self, row: usize, q: usize) -> bool {
         self.scatter_alpha_row(row);
         let expected = self.w[row];
@@ -1466,8 +935,7 @@ impl<'a> Simplex<'a> {
         } else {
             0.0
         };
-        expected.abs() > self.config.pivot_tol
-            && (got - expected).abs() <= tol::OPT * (1.0 + expected.abs())
+        expected.abs() > tol::EPS && (got - expected).abs() <= tol::OPT * (1.0 + expected.abs())
     }
 
     /// Scatters the pivot row `ρ = B⁻ᵀe_row` into the α-row workspace:
@@ -1477,7 +945,7 @@ impl<'a> Simplex<'a> {
     /// the bumped `alpha_epoch`.
     // lint:allow(hot-path-index): scatter into scratch sized to n; pattern indices from the packed row
     fn scatter_alpha_row(&mut self, row: usize) {
-        self.repr.rho(row, &mut self.rho);
+        self.ft.btran_unit(row, &mut self.rho, &mut self.ft_scratch);
         self.alpha_epoch = self.alpha_epoch.wrapping_add(1);
         let epoch = self.alpha_epoch;
         self.alpha_cols.clear();
@@ -1561,7 +1029,7 @@ impl<'a> Simplex<'a> {
         } else {
             self.w[q - self.n0] = self.art_sign[q - self.n0];
         }
-        self.repr.ftran(&mut self.w);
+        self.ft.ftran(&mut self.w, &mut self.ft_scratch);
     }
 
     /// Ratio test: how far can the entering variable move?
@@ -1571,7 +1039,7 @@ impl<'a> Simplex<'a> {
         let mut leave: Option<(usize, bool, f64)> = None; // (row, to_upper, |w|)
         for i in 0..self.m {
             let w_i = self.w[i];
-            if w_i.abs() <= self.config.pivot_tol {
+            if w_i.abs() <= tol::EPS {
                 continue;
             }
             let b = self.basis[i];
@@ -1657,23 +1125,24 @@ impl<'a> Simplex<'a> {
         self.record_basis_update(row);
     }
 
-    /// Pushes the pivot direction `self.w` into the basis representation
-    /// and books the outcome: a rejected update (FT instability) flags an
-    /// accuracy refactorization, which [`maintain_basis`](Self::maintain_basis)
-    /// performs before the representation is used again.
+    /// Pushes the pivot direction `self.w` into the basis factors and
+    /// books the outcome: a rejected update (FT instability) leaves the
+    /// factors untouched and flags an accuracy refactorization, which
+    /// [`maintain_basis`](Self::maintain_basis) performs before the
+    /// factors are used again.
     fn record_basis_update(&mut self, row: usize) {
-        if self.repr.update(row, &self.w) {
+        if self.ft.update(row, &self.w).is_ok() {
             self.basis_stats.updates += 1;
         } else {
             self.update_rejected = true;
         }
     }
 
-    /// Rebuilds the basis representation from the current basis columns
-    /// and recomputes basic values from the nonbasic assignment.
+    /// Refactorizes the current basis columns and recomputes basic values
+    /// from the nonbasic assignment.
     ///
     /// Returns false when the basis is numerically singular (the old
-    /// representation is kept so the caller can decide how to recover).
+    /// factors are kept so the caller can decide how to recover).
     // lint:allow(hot-path-index): rebuilds basis columns; slots and rows bounded by m
     fn refactor(&mut self) -> bool {
         self.pivots_since_refactor = 0;
@@ -1685,9 +1154,10 @@ impl<'a> Simplex<'a> {
                 ColumnIter::Artificial(e) => e.into_iter().collect(),
             })
             .collect();
-        if !self.repr.refactor(&cols) {
+        let Some(lu) = LuFactors::factorize(self.m, &cols, tol::DROP) else {
             return false;
-        }
+        };
+        self.ft = FtFactors::from_lu(lu);
         self.refactorizations += 1;
         // Recompute x_B = B⁻¹ (b − N x_N).
         let mut r = self.sf.rhs.clone();
@@ -1709,23 +1179,23 @@ impl<'a> Simplex<'a> {
                 ColumnIter::Artificial(None) => {}
             }
         }
-        self.repr.ftran(&mut r);
+        self.ft.ftran(&mut r, &mut self.ft_scratch);
         for (i, &ri) in r.iter().enumerate() {
             self.x[self.basis[i]] = ri;
         }
-        // The rebuilt representation supersedes whatever incremental
-        // drift the maintained reduced costs accumulated against the old
-        // one; force a refresh at the next pricing step.
+        // The fresh factors supersede whatever incremental drift the
+        // maintained reduced costs accumulated against the old ones;
+        // force a refresh at the next pricing step.
         self.d_valid = false;
         true
     }
 
-    /// Warm-started solve: install the given basis, repair primal
-    /// feasibility with dual-simplex pivots, then finish with primal
-    /// phase 2. Returns `None` when the warm path cannot proceed safely —
-    /// the caller falls back to a cold start.
-    // lint:allow(hot-path-index): warm-start driver; slots bounded by m, columns by n
-    fn run_warm(mut self, warm: &Basis) -> Option<LpResult> {
+    /// Installs a warm basis with real costs and the nonbasic columns on
+    /// the bounds the snapshot recorded. Returns false when the basis is
+    /// unusable (stale or duplicated entries, or singular with a singular
+    /// slack fallback too) — the caller then solves cold.
+    // lint:allow(hot-path-index): warm-start install; slots bounded by m, columns by n
+    fn install_warm(&mut self, warm: &Basis) -> bool {
         let m = self.m;
         // Real costs from the start; artificial columns are pinned at 0.
         self.costs[..self.n0].copy_from_slice(&self.sf.costs);
@@ -1761,7 +1231,7 @@ impl<'a> Simplex<'a> {
         // Install the basis (reject stale or duplicated entries).
         for (row, &bj) in warm.basis.iter().enumerate() {
             if bj >= self.n0 + m || self.position[bj] != usize::MAX {
-                return None;
+                return false;
             }
             self.basis[row] = bj;
             self.position[bj] = row;
@@ -1772,8 +1242,8 @@ impl<'a> Simplex<'a> {
             // vanished row become dependent). Degrade to the always-
             // nonsingular slack basis but keep the warm bound snapshot:
             // the nonbasic values still encode the previous solution, so
-            // the dual repair below starts near the old optimum instead
-            // of from scratch.
+            // the repair starts near the old optimum instead of from
+            // scratch.
             for &bj in &warm.basis {
                 if bj < self.n0 + m {
                     self.position[bj] = usize::MAX;
@@ -1785,40 +1255,39 @@ impl<'a> Simplex<'a> {
                 *slot = slack;
                 self.position[slack] = i;
             }
-            if !self.refactor() {
-                return None;
-            }
+            return self.refactor();
         }
-        if self.config.warm_dual {
-            // True dual simplex: the installed basis is dual feasible
-            // after a bound/RHS-only change, so the dual iteration walks
-            // straight back to optimality — zero phase-1 iterations.
-            return match self.dual_optimize() {
-                DualOutcome::PrimalFeasible => {
-                    self.used_dual_simplex = true;
-                    // Primal cleanup certifies optimality (normally zero
-                    // pivots) and leaves fresh duals for the audit.
-                    let status = self.optimize();
-                    let mut result = self.finish(status);
-                    result.warm_basis_used = true;
-                    Some(result)
-                }
-                DualOutcome::Limit => {
-                    self.used_dual_simplex = true;
-                    let mut result = self.finish(LpStatus::IterationLimit);
-                    result.warm_basis_used = true;
-                    Some(result)
-                }
-                DualOutcome::Fallback => None,
-            };
-        }
-        // Legacy warm-primal repair loop (`warm_dual: false`): one
-        // full-recompute dual pivot per violated row, kept as the
-        // baseline the dual simplex is benchmarked against.
-        let max_repair = 4 * m + 200;
-        for _ in 0..max_repair {
-            let Some((row, target, to_upper)) = self.most_violated_basic() else {
-                // Primal feasible: a primal cleanup reaches optimality.
+        true
+    }
+
+    /// Warm finish through the true dual simplex: the installed basis is
+    /// dual feasible after a bound/RHS-only change, so the dual iteration
+    /// walks straight back to optimality — zero phase-1 iterations.
+    /// Returns `None` when the dual iteration falls back.
+    fn dual_repair(mut self) -> Option<LpResult> {
+        let status = match self.dual_optimize() {
+            // Primal cleanup certifies optimality (normally zero pivots)
+            // and leaves fresh duals for the audit.
+            DualOutcome::PrimalFeasible => self.optimize(),
+            DualOutcome::Limit => LpStatus::IterationLimit,
+            DualOutcome::Fallback => return None,
+        };
+        self.used_dual_simplex = true;
+        let mut result = self.finish(status);
+        result.warm_basis_used = true;
+        Some(result)
+    }
+
+    /// Warm finish through one full-recompute dual pivot per violated
+    /// row (largest violation first), then a primal cleanup. Returns
+    /// `None` when a pivot finds no entering column or the repair runs
+    /// past its budget.
+    fn row_repair(mut self) -> Option<LpResult> {
+        // Unit weights turn the dual-devex merit into the plain largest
+        // violation.
+        let unit = vec![1.0; self.m];
+        for _ in 0..4 * self.m + 200 {
+            let Some((row, target, to_upper)) = self.select_leaving(&unit) else {
                 let status = self.optimize();
                 let mut result = self.finish(status);
                 result.warm_basis_used = true;
@@ -1896,11 +1365,11 @@ impl<'a> Simplex<'a> {
                 }
                 let a_hat = sigma * self.alpha[j];
                 let eligible = if self.is_free(j) {
-                    a_hat.abs() > self.config.pivot_tol
+                    a_hat.abs() > tol::EPS
                 } else if self.at_upper[j] {
-                    a_hat < -self.config.pivot_tol
+                    a_hat < -tol::EPS
                 } else {
-                    a_hat > self.config.pivot_tol
+                    a_hat > tol::EPS
                 };
                 if !eligible {
                     continue;
@@ -1928,7 +1397,7 @@ impl<'a> Simplex<'a> {
                 let j = cast::idx(cj);
                 let a_hat = sigma * self.alpha[j];
                 let range = self.upper[j] - self.lower[j];
-                if range.is_finite() && remaining > a_hat.abs() * range + self.config.feas_tol {
+                if range.is_finite() && remaining > a_hat.abs() * range + tol::OPT {
                     // Flip: x_j jumps to its opposite bound, absorbing
                     // |α̂_j|·range of the violation.
                     let delta = if self.at_upper[j] { -range } else { range };
@@ -1937,7 +1406,7 @@ impl<'a> Simplex<'a> {
                 } else {
                     // Degenerate ties are the common case after a bound
                     // patch; break them toward the largest |α̂| — the
-                    // most stable pivot, and the same rule the primal
+                    // most stable pivot, and the same rule the node
                     // repair path uses, so both land on the same vertex.
                     let mut best_j = j;
                     let mut best_a = a_hat.abs();
@@ -1948,7 +1417,7 @@ impl<'a> Simplex<'a> {
                         let j2 = cast::idx(cj2);
                         let a2 = (sigma * self.alpha[j2]).abs();
                         let range2 = self.upper[j2] - self.lower[j2];
-                        if range2.is_finite() && remaining > a2 * range2 + self.config.feas_tol {
+                        if range2.is_finite() && remaining > a2 * range2 + tol::OPT {
                             continue;
                         }
                         if a2 > best_a {
@@ -1970,10 +1439,8 @@ impl<'a> Simplex<'a> {
             self.compute_direction(q);
             let w_r = self.w[row];
             let expected = self.alpha[q];
-            if w_r.abs() <= self.config.pivot_tol
-                || (w_r - expected).abs() > tol::OPT * (1.0 + expected.abs())
-            {
-                // Representation drift: refactorize, refresh, retry.
+            if w_r.abs() <= tol::EPS || (w_r - expected).abs() > tol::OPT * (1.0 + expected.abs()) {
+                // Factor drift: refactorize, refresh, retry.
                 consecutive_failures += 1;
                 if consecutive_failures > 2 || !self.refactor_for(RefactorReason::Accuracy) {
                     return DualOutcome::Fallback;
@@ -1987,7 +1454,7 @@ impl<'a> Simplex<'a> {
                 for &(j, delta) in &flips {
                     self.sf.matrix.scatter_column(j, delta, &mut flip_r);
                 }
-                self.repr.ftran(&mut flip_r);
+                self.ft.ftran(&mut flip_r, &mut self.ft_scratch);
                 for (i, &fr) in flip_r.iter().enumerate().take(m) {
                     let b = self.basis[i];
                     self.x[b] -= fr;
@@ -2030,28 +1497,25 @@ impl<'a> Simplex<'a> {
             self.d[leaving] = -theta * sigma;
             self.d_fresh = false;
             // Dual devex weight update from the FTRAN direction.
-            if self.dual_rule != DualPricingRule::Violation {
-                let a = w_r;
-                let gamma_r = dw[row];
-                let mut exploded = false;
-                for (i, wgt) in dw.iter_mut().enumerate() {
-                    if i == row {
-                        continue;
-                    }
-                    let w_i = self.w[i];
-                    if w_i != 0.0 {
-                        let cand = (w_i / a) * (w_i / a) * gamma_r;
-                        if cand > *wgt {
-                            *wgt = cand;
-                            exploded |= cand > 1e12;
-                        }
+            let gamma_r = dw[row];
+            let mut exploded = false;
+            for (i, wgt) in dw.iter_mut().enumerate() {
+                if i == row {
+                    continue;
+                }
+                let w_i = self.w[i];
+                if w_i != 0.0 {
+                    let cand = (w_i / w_r) * (w_i / w_r) * gamma_r;
+                    if cand > *wgt {
+                        *wgt = cand;
+                        exploded |= cand > 1e12;
                     }
                 }
-                dw[row] = (gamma_r / (a * a)).nmax(1.0);
-                exploded |= dw[row] > 1e12;
-                if exploded {
-                    dw.iter_mut().for_each(|v| *v = 1.0);
-                }
+            }
+            dw[row] = (gamma_r / (w_r * w_r)).nmax(1.0);
+            exploded |= dw[row] > 1e12;
+            if exploded {
+                dw.iter_mut().for_each(|v| *v = 1.0);
             }
             self.record_basis_update(row);
             self.iterations += 1;
@@ -2070,56 +1534,29 @@ impl<'a> Simplex<'a> {
         }
     }
 
-    /// Dual pricing: the leaving row. `Violation` takes the largest
-    /// bound violation; `DualDevex` weights it by the reference
-    /// framework (`violation²/w_i`), which spreads pivots across
-    /// degenerate capacity rows instead of hammering one.
+    /// Dual pricing: the leaving row maximizing the dual-devex merit
+    /// `violation²/w_i`. The reference-framework weights spread pivots
+    /// across degenerate capacity rows instead of hammering one.
     // lint:allow(hot-path-index): leaving-row scan over m basis slots
     fn select_leaving(&self, dw: &[f64]) -> Option<(usize, f64, bool)> {
         let mut best: Option<(usize, f64, bool, f64)> = None;
         for (i, &dw_i) in dw.iter().enumerate().take(self.m) {
             let b = self.basis[i];
             let x = self.x[b];
-            let (viol, target, to_upper) = if x < self.lower[b] - self.config.feas_tol {
+            let (viol, target, to_upper) = if x < self.lower[b] - tol::OPT {
                 (self.lower[b] - x, self.lower[b], false)
-            } else if x > self.upper[b] + self.config.feas_tol {
+            } else if x > self.upper[b] + tol::OPT {
                 (x - self.upper[b], self.upper[b], true)
             } else {
                 continue;
             };
-            let merit = match self.dual_rule {
-                DualPricingRule::Violation => viol,
-                _ => viol * viol / dw_i,
-            };
+            let merit = viol * viol / dw_i;
             match best {
                 Some((_, _, _, bm)) if bm >= merit => {}
                 _ => best = Some((i, target, to_upper, merit)),
             }
         }
         best.map(|(i, t, u, _)| (i, t, u))
-    }
-
-    /// The basic variable furthest outside its bounds, with the bound it
-    /// must land on: `(row, bound value, is_upper)`.
-    // lint:allow(hot-path-index): violation scan over m basis slots
-    fn most_violated_basic(&self) -> Option<(usize, f64, bool)> {
-        let mut worst: Option<(usize, f64, bool, f64)> = None;
-        for i in 0..self.m {
-            let b = self.basis[i];
-            let x = self.x[b];
-            let (viol, target, to_upper) = if x < self.lower[b] - self.config.feas_tol {
-                (self.lower[b] - x, self.lower[b], false)
-            } else if x > self.upper[b] + self.config.feas_tol {
-                (x - self.upper[b], self.upper[b], true)
-            } else {
-                continue;
-            };
-            match worst {
-                Some((_, _, _, w)) if w >= viol => {}
-                _ => worst = Some((i, target, to_upper, viol)),
-            }
-        }
-        worst.map(|(i, t, u, _)| (i, t, u))
     }
 
     /// One dual-simplex pivot: the basic variable of `row` leaves onto
@@ -2133,7 +1570,7 @@ impl<'a> Simplex<'a> {
         // bound, or down toward its upper bound.
         let need_increase = !to_upper;
         // rho = row `row` of B⁻¹.
-        self.repr.rho(row, &mut self.rho);
+        self.ft.btran_unit(row, &mut self.rho, &mut self.ft_scratch);
         self.compute_duals();
         let mut best: Option<(usize, f64, f64)> = None; // (col, |ratio|, |alpha|)
         for j in 0..self.n0 + m {
@@ -2145,7 +1582,7 @@ impl<'a> Simplex<'a> {
                 ColumnIter::Artificial(Some((r, sign))) => sign * self.rho[r],
                 ColumnIter::Artificial(None) => 0.0,
             };
-            if alpha.abs() <= self.config.pivot_tol {
+            if alpha.abs() <= tol::EPS {
                 continue;
             }
             // x_B[row] changes by -alpha * Δx_j; pick a j whose feasible
@@ -2177,7 +1614,7 @@ impl<'a> Simplex<'a> {
         // FTRAN for the entering column, then the standard pivot.
         self.compute_direction(q);
         let w_r = self.w[row];
-        if w_r.abs() <= self.config.pivot_tol {
+        if w_r.abs() <= tol::EPS {
             return false;
         }
         // Step that lands the leaving variable exactly on `target`.
@@ -2203,7 +1640,7 @@ enum DualOutcome {
     /// optimality (normally with zero further pivots).
     PrimalFeasible,
     /// The dual iteration cannot proceed safely (no entering candidate,
-    /// repeated representation drift, stall): the caller falls back to
+    /// repeated factor drift, stall): the caller falls back to
     /// a cold two-phase solve, which is always correct.
     Fallback,
     /// Iteration or deadline budget exhausted mid-repair.
@@ -2230,6 +1667,10 @@ mod tests {
     use super::*;
     use crate::expr::LinExpr;
     use crate::model::{Model, Sense, VarType};
+    use crate::test_common::{assert_dual_feasible, random_model, reference, tighten_upper};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn lp(model: &Model) -> LpResult {
         let sf = StandardForm::from_model(model);
@@ -2241,13 +1682,13 @@ mod tests {
         )
     }
 
-    fn lp_with(model: &Model, engine: BasisEngine) -> LpResult {
-        let sf = StandardForm::from_model(model);
-        let cfg = SimplexConfig {
-            engine,
-            ..SimplexConfig::default()
-        };
-        solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), &cfg)
+    /// Solves with the pricing rule forced: partial devex when `partial`,
+    /// full devex otherwise (the size rule would pick full devex for
+    /// every LP in these tests).
+    fn lp_priced(sf: &StandardForm, cfg: SimplexConfig, partial: bool) -> LpResult {
+        let mut simplex = Simplex::new(sf, &sf.lower, &sf.upper, cfg);
+        simplex.partial = partial;
+        simplex.run()
     }
 
     #[test]
@@ -2391,7 +1832,7 @@ mod tests {
 
     #[test]
     fn refactor_keeps_solution_consistent() {
-        // Force many pivots with a tiny refactor interval, on both engines.
+        // Force many pivots with a tiny refactor interval.
         let mut m = Model::new();
         let n = 15;
         let vars: Vec<_> = (0..n)
@@ -2413,18 +1854,15 @@ mod tests {
             &sf.upper.clone(),
             &SimplexConfig::default(),
         );
-        for engine in [BasisEngine::Dense, BasisEngine::SparseLu] {
-            let tight = SimplexConfig {
-                refactor_interval: 3,
-                engine,
-                ..SimplexConfig::default()
-            };
-            let r = solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), &tight);
-            assert_eq!(r.status, LpStatus::Optimal);
-            assert!((r.objective - reference.objective).abs() < 1e-5);
-            assert!(m.violations(&r.values[..n], 1e-5).is_empty());
-            assert!(r.refactorizations > 0, "interval 3 must refactor");
-        }
+        let tight = SimplexConfig {
+            refactor_interval: 3,
+            ..SimplexConfig::default()
+        };
+        let r = solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), &tight);
+        assert_eq!(r.status, LpStatus::Optimal);
+        assert!((r.objective - reference.objective).abs() < 1e-5);
+        assert!(m.violations(&r.values[..n], 1e-5).is_empty());
+        assert!(r.refactorizations > 0, "interval 3 must refactor");
     }
 
     #[test]
@@ -2441,65 +1879,10 @@ mod tests {
         assert!((r.values[0] - 3.0).abs() < 1e-6);
     }
 
-    /// The fixture LPs above, re-run on the sparse LU engine: status and
-    /// objective must match the dense engine exactly.
+    /// With an effectively infinite refactor interval the engine runs on
+    /// Forrest–Tomlin updates alone; the answer must not drift.
     #[test]
-    fn sparse_engine_matches_dense_on_fixtures() {
-        let fixtures: Vec<(Model, LpStatus)> = {
-            let mut out = Vec::new();
-            // Textbook LP.
-            let mut m = Model::new();
-            let x = m.add_var("x", VarType::Continuous, 0.0, f64::INFINITY);
-            let y = m.add_var("y", VarType::Continuous, 0.0, f64::INFINITY);
-            m.add_constraint("c1", LinExpr::from(x), Sense::Le, 4.0);
-            m.add_constraint("c2", 2.0 * y, Sense::Le, 12.0);
-            m.add_constraint("c3", 3.0 * x + 2.0 * y, Sense::Le, 18.0);
-            m.set_objective(-3.0 * x - 5.0 * y);
-            out.push((m, LpStatus::Optimal));
-            // Infeasible.
-            let mut m = Model::new();
-            let x = m.add_var("x", VarType::Continuous, 0.0, 1.0);
-            m.add_constraint("hi", LinExpr::from(x), Sense::Ge, 2.0);
-            out.push((m, LpStatus::Infeasible));
-            // Unbounded.
-            let mut m = Model::new();
-            let x = m.add_var("x", VarType::Continuous, 0.0, f64::INFINITY);
-            m.set_objective(-1.0 * x);
-            m.add_constraint("noop", LinExpr::from(x), Sense::Ge, 0.0);
-            out.push((m, LpStatus::Unbounded));
-            // Equalities.
-            let mut m = Model::new();
-            let x = m.add_var("x", VarType::Continuous, 0.0, f64::INFINITY);
-            let y = m.add_var("y", VarType::Continuous, 0.0, f64::INFINITY);
-            m.add_constraint("sum", 1.0 * x + 1.0 * y, Sense::Eq, 10.0);
-            m.add_constraint("diff", 1.0 * x - 1.0 * y, Sense::Eq, 4.0);
-            m.set_objective(1.0 * x + 1.0 * y);
-            out.push((m, LpStatus::Optimal));
-            out
-        };
-        for (model, expected) in fixtures {
-            let dense = lp_with(&model, BasisEngine::Dense);
-            for engine in [BasisEngine::SparseLu, BasisEngine::SparseEta] {
-                let sparse = lp_with(&model, engine);
-                assert_eq!(dense.status, expected);
-                assert_eq!(sparse.status, expected, "{engine:?}");
-                if expected == LpStatus::Optimal {
-                    assert!(
-                        (dense.objective - sparse.objective).abs() < 1e-8,
-                        "dense {} vs {engine:?} {}",
-                        dense.objective,
-                        sparse.objective
-                    );
-                }
-            }
-        }
-    }
-
-    /// With an effectively infinite refactor interval the sparse engines
-    /// run on updates alone (Forrest–Tomlin for `SparseLu`, product-form
-    /// etas for `SparseEta`); the answer must not drift.
-    #[test]
-    fn sparse_update_only_path_is_exact() {
+    fn update_only_path_is_exact() {
         let mut m = Model::new();
         let n = 12;
         let vars: Vec<_> = (0..n)
@@ -2516,32 +1899,21 @@ mod tests {
         m.set_objective(LinExpr::sum(vars.iter().map(|v| (*v, -1.0))));
         let sf = StandardForm::from_model(&m);
         let reference = lp(&m);
-        for engine in [BasisEngine::SparseLu, BasisEngine::SparseEta] {
-            let update_only = SimplexConfig {
-                refactor_interval: usize::MAX,
-                engine,
-                ..SimplexConfig::default()
-            };
-            let r = solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), &update_only);
-            assert_eq!(r.status, LpStatus::Optimal, "{engine:?}");
-            assert!(
-                (r.objective - reference.objective).abs() < 1e-7,
-                "{engine:?}"
-            );
-            assert_eq!(
-                r.refactorizations, 0,
-                "{engine:?}: update-only run must never refactor"
-            );
-            assert!(
-                r.basis_stats.updates > 0,
-                "{engine:?}: updates must be counted"
-            );
-        }
+        let update_only = SimplexConfig {
+            refactor_interval: usize::MAX,
+            ..SimplexConfig::default()
+        };
+        let r = solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), &update_only);
+        assert_eq!(r.status, LpStatus::Optimal);
+        assert!((r.objective - reference.objective).abs() < 1e-7);
+        assert_eq!(r.refactorizations, 0, "update-only run must never refactor");
+        assert!(r.basis_stats.updates > 0, "updates must be counted");
     }
 
-    /// Warm-started re-solves on the sparse engine agree with cold ones.
+    /// Warm-started re-solves, through both warm paths, agree with cold
+    /// ones after a branch-style tightening.
     #[test]
-    fn sparse_warm_start_matches_cold() {
+    fn warm_start_matches_cold() {
         let mut m = Model::new();
         let x = m.add_var("x", VarType::Continuous, 0.0, 8.0);
         let y = m.add_var("y", VarType::Continuous, 0.0, 8.0);
@@ -2549,22 +1921,28 @@ mod tests {
         m.add_constraint("b", 3.0 * x + 1.0 * y, Sense::Le, 15.0);
         m.set_objective(-2.0 * x - 3.0 * y);
         let sf = StandardForm::from_model(&m);
-        let cfg = SimplexConfig {
-            engine: BasisEngine::SparseLu,
-            ..SimplexConfig::default()
-        };
+        let cfg = SimplexConfig::default();
         let base = solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), &cfg);
         assert_eq!(base.status, LpStatus::Optimal);
         let mut up = sf.upper.clone();
         up[0] = 2.0; // branch-style tightening
         let cold = solve_lp(&sf, &sf.lower.clone(), &up, &cfg);
-        let warm = solve_lp_warm(&sf, &sf.lower.clone(), &up, &cfg, base.basis.as_ref());
-        assert_eq!(cold.status, warm.status);
-        assert!((cold.objective - warm.objective).abs() < 1e-7);
+        let dual = solve_lp_warm(&sf, &sf.lower.clone(), &up, &cfg, base.basis.as_ref());
+        let node = solve_lp_node(&sf, &sf.lower.clone(), &up, &cfg, base.basis.as_ref());
+        for (path, warm) in [("dual", &dual), ("node", &node)] {
+            assert_eq!(cold.status, warm.status, "{path}");
+            assert!((cold.objective - warm.objective).abs() < 1e-7, "{path}");
+            assert!(warm.warm_basis_used, "{path}");
+        }
+        assert!(dual.used_dual_simplex);
+        assert!(
+            !node.used_dual_simplex,
+            "node repair is not the dual simplex"
+        );
     }
 
     /// A singular warm basis must degrade safely (slack-basis repair or
-    /// cold fallback), never a wrong answer, on both engines.
+    /// cold fallback), never a wrong answer, on both warm paths.
     #[test]
     fn singular_warm_basis_degrades_safely() {
         let mut m = Model::new();
@@ -2579,28 +1957,19 @@ mod tests {
             basis: vec![0, 1],
             at_upper: vec![false, false],
         };
-        for engine in [
-            BasisEngine::Dense,
-            BasisEngine::SparseLu,
-            BasisEngine::SparseEta,
+        let cfg = SimplexConfig::default();
+        for (path, r) in [
+            (
+                "dual",
+                solve_lp_warm(&sf, &sf.lower, &sf.upper, &cfg, Some(&singular)),
+            ),
+            (
+                "node",
+                solve_lp_node(&sf, &sf.lower, &sf.upper, &cfg, Some(&singular)),
+            ),
         ] {
-            let cfg = SimplexConfig {
-                engine,
-                ..SimplexConfig::default()
-            };
-            let r = solve_lp_warm(
-                &sf,
-                &sf.lower.clone(),
-                &sf.upper.clone(),
-                &cfg,
-                Some(&singular),
-            );
-            assert_eq!(r.status, LpStatus::Optimal, "{engine:?}");
-            assert!(
-                (r.objective + 4.0).abs() < 1e-6,
-                "{engine:?}: {}",
-                r.objective
-            );
+            assert_eq!(r.status, LpStatus::Optimal, "{path}");
+            assert!((r.objective + 4.0).abs() < 1e-6, "{path}: {}", r.objective);
         }
     }
 
@@ -2622,34 +1991,8 @@ mod tests {
         assert!(r.objective.abs() < 1e-9);
     }
 
-    /// Explicitly requesting the dense engine beyond its cap refuses with
-    /// `TooLarge` and a NaN objective — never a consumable bound.
-    #[test]
-    fn explicit_dense_over_cap_refuses_with_too_large() {
-        let mut m = Model::new();
-        let x = m.add_var("x", VarType::Continuous, 0.0, 1.0);
-        for i in 0..DENSE_MAX_ROWS + 1 {
-            m.add_constraint(format!("c{i}"), LinExpr::from(x), Sense::Le, 2.0);
-        }
-        m.set_objective(-1.0 * x);
-        let sf = StandardForm::from_model(&m);
-        let dense = SimplexConfig {
-            engine: BasisEngine::Dense,
-            ..SimplexConfig::default()
-        };
-        let r = solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), &dense);
-        assert_eq!(r.status, LpStatus::TooLarge);
-        assert!(r.objective.is_nan(), "refusals must not fabricate a bound");
-        assert!(r.basis.is_none());
-        // The same model with Auto routes to the sparse engine and solves.
-        let auto = SimplexConfig::default();
-        let r = solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), &auto);
-        assert_eq!(r.status, LpStatus::Optimal);
-        assert!((r.objective + 1.0).abs() < 1e-6);
-    }
-
-    /// Every pricing rule reaches the same optimum on the fixture LPs —
-    /// they only differ in pivot selection, never in the answer.
+    /// Both pricing rules reach the same optimum on the fixture LP — they
+    /// only differ in pivot selection, never in the answer.
     #[test]
     fn pricing_rules_agree_on_fixtures() {
         let mut m = Model::new();
@@ -2660,20 +2003,12 @@ mod tests {
         m.add_constraint("c3", 3.0 * x + 2.0 * y, Sense::Le, 18.0);
         m.set_objective(-3.0 * x - 5.0 * y);
         let sf = StandardForm::from_model(&m);
-        for pricing in [
-            PricingRule::Dantzig,
-            PricingRule::Devex,
-            PricingRule::PartialDevex,
-        ] {
-            let cfg = SimplexConfig {
-                pricing,
-                ..SimplexConfig::default()
-            };
-            let r = solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), &cfg);
-            assert_eq!(r.status, LpStatus::Optimal, "{pricing:?}");
+        for partial in [false, true] {
+            let r = lp_priced(&sf, SimplexConfig::default(), partial);
+            assert_eq!(r.status, LpStatus::Optimal, "partial={partial}");
             assert!(
                 (r.objective + 36.0).abs() < 1e-6,
-                "{pricing:?}: {}",
+                "partial={partial}: {}",
                 r.objective
             );
         }
@@ -2699,11 +2034,7 @@ mod tests {
         }
         m.set_objective(LinExpr::sum(vars.iter().map(|v| (*v, -1.0))));
         let sf = StandardForm::from_model(&m);
-        let cfg = SimplexConfig {
-            pricing: PricingRule::PartialDevex,
-            ..SimplexConfig::default()
-        };
-        let r = solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), &cfg);
+        let r = lp_priced(&sf, SimplexConfig::default(), true);
         assert_eq!(r.status, LpStatus::Optimal);
         assert!(r.pricing.full_rebuilds >= 1, "optimality needs a full scan");
         assert!(
@@ -2724,25 +2055,19 @@ mod tests {
         m.add_constraint("c3", 3.0 * x + 2.0 * y, Sense::Le, 18.0);
         m.set_objective(-3.0 * x - 5.0 * y);
         let sf = StandardForm::from_model(&m);
-        for engine in [BasisEngine::Dense, BasisEngine::SparseLu] {
-            let cfg = SimplexConfig {
-                engine,
-                ..SimplexConfig::default()
-            };
-            let r = solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), &cfg);
-            assert_eq!(r.status, LpStatus::Optimal);
-            assert_eq!(r.duals.len(), sf.num_rows);
-            for j in 0..sf.num_cols() {
-                let d = sf.costs[j] - sf.matrix.column_dot(j, &r.duals);
-                let at_lo = (r.values[j] - sf.lower[j]).abs() < 1e-7;
-                let at_up = (sf.upper[j] - r.values[j]).abs() < 1e-7;
-                if at_lo {
-                    assert!(d > -1e-6, "{engine:?} col {j}: d = {d}");
-                } else if at_up {
-                    assert!(d < 1e-6, "{engine:?} col {j}: d = {d}");
-                } else {
-                    assert!(d.abs() < 1e-6, "{engine:?} col {j}: d = {d}");
-                }
+        let r = lp(&m);
+        assert_eq!(r.status, LpStatus::Optimal);
+        assert_eq!(r.duals.len(), sf.num_rows);
+        for j in 0..sf.num_cols() {
+            let d = sf.costs[j] - sf.matrix.column_dot(j, &r.duals);
+            let at_lo = (r.values[j] - sf.lower[j]).abs() < 1e-7;
+            let at_up = (sf.upper[j] - r.values[j]).abs() < 1e-7;
+            if at_lo {
+                assert!(d > -1e-6, "col {j}: d = {d}");
+            } else if at_up {
+                assert!(d < 1e-6, "col {j}: d = {d}");
+            } else {
+                assert!(d.abs() < 1e-6, "col {j}: d = {d}");
             }
         }
     }
@@ -2762,36 +2087,24 @@ mod tests {
         m.add_constraint("c", 1.0 * y + 2.0 * z, Sense::Le, 10.0);
         m.set_objective(-2.0 * x - 3.0 * y - 1.0 * z);
         let sf = StandardForm::from_model(&m);
-        for engine in [
-            BasisEngine::Dense,
-            BasisEngine::SparseLu,
-            BasisEngine::SparseEta,
-        ] {
-            let cfg = SimplexConfig {
-                engine,
-                ..SimplexConfig::default()
-            };
-            let base = solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), &cfg);
-            assert_eq!(base.status, LpStatus::Optimal, "{engine:?}");
-            // Tighten a bound that cuts off the old optimum.
-            let mut up = sf.upper.clone();
-            up[0] = 1.0;
-            let cold = solve_lp(&sf, &sf.lower.clone(), &up, &cfg);
-            let warm = solve_lp_warm(&sf, &sf.lower.clone(), &up, &cfg, base.basis.as_ref());
-            assert_eq!(warm.status, cold.status, "{engine:?}");
-            assert!(
-                (warm.objective - cold.objective).abs() < 1e-7,
-                "{engine:?}: warm {} vs cold {}",
-                warm.objective,
-                cold.objective
-            );
-            assert!(warm.warm_basis_used, "{engine:?}");
-            assert!(warm.used_dual_simplex, "{engine:?}");
-            assert_eq!(
-                warm.phase1_iterations, 0,
-                "{engine:?}: dual re-solve must skip phase 1"
-            );
-        }
+        let cfg = SimplexConfig::default();
+        let base = solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), &cfg);
+        assert_eq!(base.status, LpStatus::Optimal);
+        // Tighten a bound that cuts off the old optimum.
+        let mut up = sf.upper.clone();
+        up[0] = 1.0;
+        let cold = solve_lp(&sf, &sf.lower.clone(), &up, &cfg);
+        let warm = solve_lp_warm(&sf, &sf.lower.clone(), &up, &cfg, base.basis.as_ref());
+        assert_eq!(warm.status, cold.status);
+        assert!(
+            (warm.objective - cold.objective).abs() < 1e-7,
+            "warm {} vs cold {}",
+            warm.objective,
+            cold.objective
+        );
+        assert!(warm.warm_basis_used);
+        assert!(warm.used_dual_simplex);
+        assert_eq!(warm.phase1_iterations, 0, "dual re-solve must skip phase 1");
     }
 
     /// RHS-only changes preserve dual feasibility too: the dual simplex
@@ -2826,48 +2139,10 @@ mod tests {
         assert_eq!(warm.phase1_iterations, 0);
     }
 
-    /// `warm_dual: false` restores the legacy warm-primal repair loop;
-    /// both warm paths and the cold solve agree on the fixtures.
+    /// A patch tightening several bounds across overlapping rows: the
+    /// dual re-solve lands on the cold optimum with zero phase-1 work.
     #[test]
-    fn legacy_warm_primal_path_still_agrees() {
-        let mut m = Model::new();
-        let x = m.add_var("x", VarType::Continuous, 0.0, 8.0);
-        let y = m.add_var("y", VarType::Continuous, 0.0, 8.0);
-        m.add_constraint("a", 1.0 * x + 2.0 * y, Sense::Le, 10.0);
-        m.add_constraint("b", 3.0 * x + 1.0 * y, Sense::Le, 15.0);
-        m.set_objective(-2.0 * x - 3.0 * y);
-        let sf = StandardForm::from_model(&m);
-        let base = solve_lp(
-            &sf,
-            &sf.lower.clone(),
-            &sf.upper.clone(),
-            &SimplexConfig::default(),
-        );
-        let mut up = sf.upper.clone();
-        up[0] = 2.0;
-        let cold = solve_lp(&sf, &sf.lower.clone(), &up, &SimplexConfig::default());
-        for warm_dual in [true, false] {
-            let cfg = SimplexConfig {
-                warm_dual,
-                ..SimplexConfig::default()
-            };
-            let warm = solve_lp_warm(&sf, &sf.lower.clone(), &up, &cfg, base.basis.as_ref());
-            assert_eq!(warm.status, cold.status, "warm_dual={warm_dual}");
-            assert!(
-                (warm.objective - cold.objective).abs() < 1e-7,
-                "warm_dual={warm_dual}"
-            );
-            assert_eq!(
-                warm.used_dual_simplex, warm_dual,
-                "dual flag must track the configured path"
-            );
-        }
-    }
-
-    /// Both dual pricing rules land on the same optimum after a bound
-    /// patch (they may take different pivot sequences).
-    #[test]
-    fn dual_pricing_rules_agree() {
+    fn dual_multi_bound_patch_matches_cold() {
         let mut m = Model::new();
         let vars: Vec<_> = (0..8)
             .map(|i| m.add_var(format!("x{i}"), VarType::Continuous, 0.0, 4.0))
@@ -2895,21 +2170,17 @@ mod tests {
         up[1] = 1.0;
         up[4] = 0.5;
         let cold = solve_lp(&sf, &sf.lower.clone(), &up, &SimplexConfig::default());
-        for rule in [DualPricingRule::Violation, DualPricingRule::DualDevex] {
-            let cfg = SimplexConfig {
-                dual_pricing: rule,
-                ..SimplexConfig::default()
-            };
-            let warm = solve_lp_warm(&sf, &sf.lower.clone(), &up, &cfg, base.basis.as_ref());
-            assert_eq!(warm.status, cold.status, "{rule:?}");
-            assert!(
-                (warm.objective - cold.objective).abs() < 1e-7,
-                "{rule:?}: warm {} vs cold {}",
-                warm.objective,
-                cold.objective
-            );
-            assert_eq!(warm.phase1_iterations, 0, "{rule:?}");
-        }
+        let cfg = SimplexConfig::default();
+        let warm = solve_lp_warm(&sf, &sf.lower.clone(), &up, &cfg, base.basis.as_ref());
+        assert_eq!(warm.status, cold.status);
+        assert!(
+            (warm.objective - cold.objective).abs() < 1e-7,
+            "warm {} vs cold {}",
+            warm.objective,
+            cold.objective
+        );
+        assert!(warm.used_dual_simplex);
+        assert_eq!(warm.phase1_iterations, 0);
     }
 
     /// The bound-flip ratio test must handle a patch whose repair is
@@ -2957,5 +2228,273 @@ mod tests {
         );
         assert!(warm.used_dual_simplex);
         assert_eq!(warm.phase1_iterations, 0);
+    }
+
+    // The private choices the public API cannot force — partial devex on
+    // small LPs, the node repair next to the dual re-solve — checked
+    // against the dense reference oracle on the generator the
+    // integration differential suites use.
+
+    #[test]
+    fn partial_devex_agrees_with_reference_on_random_lps() {
+        let mut rng = StdRng::seed_from_u64(0x9A27_1A1D);
+        let cfg = SimplexConfig {
+            refactor_interval: 8,
+            ..SimplexConfig::default()
+        };
+        let mut optimal_cases = 0;
+        for case in 0..400 {
+            let m = random_model(&mut rng);
+            let sf = StandardForm::from_model(&m);
+            let oracle = reference::solve(&sf, &sf.lower, &sf.upper);
+            let r = lp_priced(&sf, cfg.clone(), true);
+            assert_eq!(
+                r.status, oracle.status,
+                "case {case}: partial {:?} vs reference {:?}",
+                r.status, oracle.status
+            );
+            if r.status != LpStatus::Optimal {
+                continue;
+            }
+            optimal_cases += 1;
+            assert!(
+                (r.objective - oracle.objective).abs() < 1e-6,
+                "case {case}: partial obj {} vs reference obj {}",
+                r.objective,
+                oracle.objective
+            );
+            assert!(
+                m.violations(&r.values[..m.num_vars()], 1e-5).is_empty(),
+                "case {case}: solution violates the model"
+            );
+            assert_dual_feasible(
+                &sf,
+                &sf.lower,
+                &sf.upper,
+                &r.values,
+                &r.duals,
+                &format!("case {case}"),
+            );
+        }
+        assert!(
+            optimal_cases > 100,
+            "too few optimal cases exercised: {optimal_cases}"
+        );
+    }
+
+    /// Bounds-only perturbations re-solved from the previous optimal
+    /// basis through both warm paths must match the reference.
+    #[test]
+    fn node_repair_and_dual_agree_with_reference_on_random_lps() {
+        let mut rng = StdRng::seed_from_u64(0x40DE_D0A1);
+        let cfg = SimplexConfig::default();
+        let (mut dual_resolves, mut node_repairs) = (0usize, 0usize);
+        for case in 0..400 {
+            let m = random_model(&mut rng);
+            let sf = StandardForm::from_model(&m);
+            let base = solve_lp(&sf, &sf.lower, &sf.upper, &cfg);
+            if base.status != LpStatus::Optimal {
+                continue;
+            }
+            let upper = tighten_upper(&mut rng, &sf.upper, m.num_vars());
+            let oracle = reference::solve(&sf, &sf.lower, &upper);
+            let dual = solve_lp_warm(&sf, &sf.lower, &upper, &cfg, base.basis.as_ref());
+            let node = solve_lp_node(&sf, &sf.lower, &upper, &cfg, base.basis.as_ref());
+            dual_resolves += usize::from(dual.used_dual_simplex);
+            node_repairs += usize::from(node.warm_basis_used);
+            for (path, r) in [("dual", &dual), ("node", &node)] {
+                assert_eq!(
+                    r.status, oracle.status,
+                    "case {case} {path}: {:?} vs reference {:?}",
+                    r.status, oracle.status
+                );
+                if r.warm_basis_used {
+                    assert_eq!(r.phase1_iterations, 0, "case {case} {path}: ran phase 1");
+                }
+                if oracle.status != LpStatus::Optimal {
+                    continue;
+                }
+                assert!(
+                    (r.objective - oracle.objective).abs() < 1e-6,
+                    "case {case} {path}: {} vs reference {}",
+                    r.objective,
+                    oracle.objective
+                );
+                assert_dual_feasible(
+                    &sf,
+                    &sf.lower,
+                    &upper,
+                    &r.values,
+                    &r.duals,
+                    &format!("case {case} {path}"),
+                );
+            }
+        }
+        assert!(
+            dual_resolves > 100 && node_repairs > 100,
+            "too few warm re-solves exercised: dual {dual_resolves}, node {node_repairs}"
+        );
+    }
+
+    /// A model built to pivot through one massively degenerate vertex:
+    /// many redundant copies of the same binding constraint, plus one
+    /// tilted row so the optimum is a genuine vertex.
+    fn degenerate_model(seed: u64) -> Model {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let nv = rng.gen_range(2..6);
+        let copies = rng.gen_range(8..24);
+        let coeffs: Vec<f64> = (0..6).map(|_| rng.gen_range(-1..=1) as f64).collect();
+        let mut m = Model::new();
+        let vars: Vec<_> = (0..nv)
+            .map(|i| m.add_var(format!("x{i}"), VarType::Continuous, 0.0, f64::INFINITY))
+            .collect();
+        for c in 0..copies {
+            let expr = LinExpr::sum(vars.iter().map(|v| (*v, 1.0)));
+            m.add_constraint(format!("r{c}"), expr, Sense::Le, 10.0);
+        }
+        let tilt = LinExpr::sum(
+            vars.iter()
+                .zip(coeffs.iter().cycle())
+                .map(|(v, &c)| (*v, c)),
+        );
+        m.add_constraint("tilt", tilt, Sense::Le, 0.0);
+        m.set_objective(LinExpr::sum(vars.iter().map(|v| (*v, -1.0))));
+        m
+    }
+
+    // Degenerate vertices must not cycle under either pricing rule: the
+    // shared Bland's-rule fallback (exact reduced costs, first eligible
+    // column) guarantees termination at the proven optimum.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn degenerate_lps_terminate_under_both_rules(seed in 0u64..u64::MAX) {
+            let sf = StandardForm::from_model(&degenerate_model(seed));
+            let oracle = reference::solve(&sf, &sf.lower, &sf.upper);
+            for partial in [false, true] {
+                // Tight enough that a cycle would hit it, loose enough
+                // that honest degenerate stalling never does.
+                let cfg = SimplexConfig { max_iterations: 10_000, ..SimplexConfig::default() };
+                let r = lp_priced(&sf, cfg, partial);
+                prop_assert!(r.status == LpStatus::Optimal, "partial={partial}: {:?}", r.status);
+                prop_assert!((r.objective - oracle.objective).abs() < 1e-6, "partial={partial}");
+            }
+        }
+    }
+
+    /// Release-only timing gates on the 100 000-row instance: the size
+    /// rule's pricing choice and the warm dual re-solve must each clearly
+    /// beat their alternative, so a regression fails CI instead of
+    /// silently landing. The bars are generous; measured margins are in
+    /// CHANGES.md.
+    mod timing {
+        use super::*;
+        use crate::test_common::large_instance;
+        use std::time::Instant;
+
+        const ROWS: usize = 100_000;
+        const FORCED: usize = 250;
+
+        /// Partial devex (what the size rule picks here) against full
+        /// devex scans on every pivot.
+        #[test]
+        #[cfg_attr(
+            debug_assertions,
+            ignore = "timing assertions are only meaningful in release builds"
+        )]
+        fn partial_devex_beats_devex_on_region_scale_lp() {
+            let sf = large_instance(ROWS, FORCED);
+            let cfg = SimplexConfig::default();
+            assert!(
+                Simplex::new(&sf, &sf.lower, &sf.upper, cfg.clone()).partial,
+                "the size rule must pick partial devex at this size"
+            );
+            let time = |partial: bool| {
+                let start = Instant::now();
+                let r = lp_priced(&sf, cfg.clone(), partial);
+                let secs = start.elapsed().as_secs_f64();
+                assert_eq!(r.status, LpStatus::Optimal, "partial={partial}");
+                assert!(
+                    (r.objective - FORCED as f64).abs() < 1e-6,
+                    "partial={partial}"
+                );
+                secs
+            };
+            // Warm the allocator/caches once, off the clock.
+            let _ = time(true);
+            let devex = time(false);
+            let partial = time(true);
+            println!(
+                "devex {devex:.3}s  partial {partial:.3}s ({:.2}x)",
+                devex / partial
+            );
+            assert!(
+                devex > 1.15 * partial,
+                "partial devex ({partial:.3}s) must clearly beat full devex ({devex:.3}s)"
+            );
+        }
+
+        /// A bound-only patch re-solved from the persisted basis through
+        /// the dual simplex, against a cold solve of the patched LP; the
+        /// node repair must reach the same optimum.
+        #[test]
+        #[cfg_attr(
+            debug_assertions,
+            ignore = "timing assertions are only meaningful in release builds"
+        )]
+        fn warm_dual_resolve_beats_cold_on_region_scale_lp() {
+            let sf = large_instance(ROWS, FORCED);
+            let cfg = SimplexConfig::default();
+            let base = solve_lp(&sf, &sf.lower, &sf.upper, &cfg);
+            assert_eq!(base.status, LpStatus::Optimal);
+            assert!((base.objective - FORCED as f64).abs() < 1e-6);
+            let basis = base.basis.expect("optimal solve persists a basis");
+
+            // Raise the lower bound of 50 active columns above their
+            // current value of 1.0, so the basis goes primal infeasible
+            // but stays dual feasible — the session round shape.
+            let mut lower = sf.lower.clone();
+            for j in (0..FORCED).step_by(5) {
+                lower[j] = 1.5;
+            }
+            let timed = |solve: &dyn Fn() -> LpResult| {
+                let start = Instant::now();
+                let r = solve();
+                let secs = start.elapsed().as_secs_f64();
+                assert_eq!(r.status, LpStatus::Optimal);
+                (secs, r)
+            };
+            let cold_solve = || solve_lp(&sf, &lower, &sf.upper, &cfg);
+            // Warm the allocator/caches once, off the clock.
+            let _ = cold_solve();
+            let (cold, cold_r) = timed(&cold_solve);
+            let (node, node_r) =
+                timed(&|| solve_lp_node(&sf, &lower, &sf.upper, &cfg, Some(&basis)));
+            let (dual, dual_r) =
+                timed(&|| solve_lp_warm(&sf, &lower, &sf.upper, &cfg, Some(&basis)));
+            println!(
+                "cold {cold:.3}s  node repair {node:.3}s ({:.1}x)  warm-dual {dual:.3}s ({:.1}x)",
+                cold / node,
+                cold / dual
+            );
+            for r in [&node_r, &dual_r] {
+                assert!(r.warm_basis_used, "warm basis must not fall back cold");
+                assert_eq!(r.phase1_iterations, 0, "warm re-solve must skip phase 1");
+                assert!((r.objective - cold_r.objective).abs() < 1e-6);
+            }
+            assert!(
+                dual_r.used_dual_simplex,
+                "bound patch must route to the dual"
+            );
+            assert!(
+                dual_r.dual_iterations > 0,
+                "the patch must need repair pivots"
+            );
+            assert!(
+                cold > 1.5 * dual,
+                "warm dual re-solve ({dual:.3}s) must clearly beat cold ({cold:.3}s)"
+            );
+        }
     }
 }

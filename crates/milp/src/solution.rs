@@ -73,13 +73,13 @@ pub struct SolveStats {
     pub root_used_dual_simplex: bool,
     /// Total basis (re)factorizations across all LP solves.
     pub lp_refactorizations: usize,
-    /// Successful basis updates (eta pushes / FT column replacements /
-    /// dense product-form updates) across all LP solves.
+    /// Successful basis updates (Forrest–Tomlin column replacements)
+    /// across all LP solves.
     pub basis_updates: usize,
     /// Refactorizations triggered by the fixed pivot interval.
     pub refactors_interval: usize,
-    /// Refactorizations triggered by update fill growth (FT spike/eta
-    /// nonzeros outgrowing the fresh factors).
+    /// Refactorizations triggered by update fill growth (FT spike and
+    /// row-elimination nonzeros outgrowing the fresh factors).
     pub refactors_growth: usize,
     /// Refactorizations triggered by a numerically rejected update.
     pub refactors_accuracy: usize,
@@ -151,16 +151,6 @@ pub struct SolveConfig {
     pub int_tol: f64,
     /// Simplex pivot limit per LP.
     pub max_lp_iterations: usize,
-    /// Entering-variable pricing rule for every LP in the search (see
-    /// [`crate::simplex::PricingRule`]).
-    pub pricing: crate::simplex::PricingRule,
-    /// Leaving-row pricing rule for dual-simplex warm re-solves (see
-    /// [`crate::simplex::DualPricingRule`]).
-    pub dual_pricing: crate::simplex::DualPricingRule,
-    /// Route warm re-solves through the true dual simplex; `false`
-    /// restores the legacy warm-primal repair loop (the benchmark
-    /// baseline).
-    pub warm_dual: bool,
     /// Stop once an incumbent exists and the best bound has not improved
     /// for this many consecutive nodes (0 disables). Mirrors how
     /// production deployments cut losses on symmetric plateaus instead of
@@ -194,9 +184,6 @@ impl Default for SolveConfig {
             abs_gap_tol: tol::PRIMAL_FEAS,
             int_tol: tol::PRIMAL_FEAS,
             max_lp_iterations: 200_000,
-            pricing: crate::simplex::PricingRule::default(),
-            dual_pricing: crate::simplex::DualPricingRule::default(),
-            warm_dual: true,
             stall_node_limit: 0,
             use_heuristics: true,
             initial_incumbent: None,
@@ -260,9 +247,9 @@ pub enum SolveError {
     Unbounded,
     /// Limits hit before any feasible point was found.
     NoIncumbent,
-    /// The model exceeds the configured solver size cap (see
-    /// [`crate::simplex::LpStatus::TooLarge`]). This is a configuration
-    /// problem, not a statement about feasibility.
+    /// The model exceeds the solver's size cap: more variables than a
+    /// `u32` index can address (see [`crate::Model::solve_with`]). This is
+    /// a configuration problem, not a statement about feasibility.
     TooLarge,
     /// The static model auditor found reject-level defects (NaN
     /// coefficients, crossed bounds, dangling variable references, …) and

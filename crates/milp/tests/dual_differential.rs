@@ -1,114 +1,72 @@
 //! Differential tests for the warm re-solve hot path.
 //!
-//! 1. On 400 random bounded LPs, a bound/RHS perturbation re-solved warm
-//!    (dual simplex from the previous optimal basis) must agree with the
-//!    cold primal solve on status and objective — on both the
-//!    Forrest–Tomlin engine and the legacy eta-file engine — and must
-//!    never run a single phase-1 iteration when the warm basis sticks.
+//! 1. On 400 random bounded LPs, a bounds-only perturbation re-solved
+//!    warm (dual simplex from the previous optimal basis) must agree with
+//!    the dense reference tableau simplex on status and objective, leave
+//!    dual-feasible duals, and never run a single phase-1 iteration when
+//!    the warm basis sticks.
 //! 2. A long-pivot-sequence regression: after hundreds of basis updates
 //!    without refactorization, Forrest–Tomlin keeps `ftran`/`btran`
-//!    residuals near machine precision where the product-form eta file
-//!    visibly degrades (its error compounds across the eta product).
+//!    residuals near machine precision where a product-form eta file
+//!    (kept here as a test-local baseline) visibly degrades: its error
+//!    compounds across the eta product.
 
+mod common;
+
+use common::{assert_dual_feasible, random_model, reference, tighten_upper};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ras_milp::lu::{FtFactors, LuFactors};
-use ras_milp::simplex::{solve_lp, solve_lp_warm, BasisEngine, LpStatus, SimplexConfig};
+use ras_milp::simplex::{solve_lp, solve_lp_warm, LpStatus, SimplexConfig};
 use ras_milp::standard::StandardForm;
-use ras_milp::{LinExpr, Model, Sense, VarType};
 
-fn random_model(rng: &mut StdRng) -> Model {
-    let nv: usize = rng.gen_range(2..8);
-    let nc = rng.gen_range(1..8);
-    let mut m = Model::new();
-    let vars: Vec<_> = (0..nv)
-        .map(|i| {
-            m.add_var(
-                format!("x{i}"),
-                VarType::Continuous,
-                0.0,
-                rng.gen_range(1..9) as f64,
-            )
-        })
-        .collect();
-    for ci in 0..nc {
-        let expr = LinExpr::sum(vars.iter().map(|v| (*v, rng.gen_range(-4..5) as f64)));
-        let sense = match rng.gen_range(0..3) {
-            0 => Sense::Le,
-            1 => Sense::Ge,
-            _ => Sense::Eq,
-        };
-        m.add_constraint(format!("c{ci}"), expr, sense, rng.gen_range(-5..12) as f64);
-    }
-    m.set_objective(LinExpr::sum(
-        vars.iter().map(|v| (*v, rng.gen_range(-5..6) as f64)),
-    ));
-    m
-}
-
-/// 400 random LPs, each perturbed bounds-only and re-solved three ways:
-/// cold primal, warm dual on Forrest–Tomlin, warm dual on the eta file.
-/// All three must agree; accepted warm solves must skip phase 1.
 #[test]
-fn dual_resolve_agrees_with_primal_on_random_lps() {
+fn dual_resolve_agrees_with_reference_on_random_lps() {
     let mut rng = StdRng::seed_from_u64(0xD0A1_51A5);
-    let engines = [BasisEngine::SparseLu, BasisEngine::SparseEta];
+    let cfg = SimplexConfig::default();
     let mut dual_resolves = 0usize;
     for case in 0..400 {
         let m = random_model(&mut rng);
         let sf = StandardForm::from_model(&m);
-        let cfg = SimplexConfig::default();
-        let base = solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), &cfg);
+        let base = solve_lp(&sf, &sf.lower, &sf.upper, &cfg);
         if base.status != LpStatus::Optimal {
             continue;
         }
-        // Bounds-only perturbation: tighten a few upper bounds (what a
-        // session round's count patch does to the class columns).
-        let mut upper = sf.upper.clone();
-        let n_structural = m.num_vars();
-        for _ in 0..rng.gen_range(1..4) {
-            let j = rng.gen_range(0..n_structural);
-            if upper[j].is_finite() && upper[j] > 0.0 {
-                upper[j] = (upper[j] - rng.gen_range(1..3) as f64).max(0.0);
-            }
-        }
-        let cold = solve_lp(&sf, &sf.lower.clone(), &upper, &cfg);
-        for engine in engines {
-            let warm_cfg = SimplexConfig {
-                engine,
-                ..SimplexConfig::default()
-            };
-            let warm = solve_lp_warm(
-                &sf,
-                &sf.lower.clone(),
-                &upper,
-                &warm_cfg,
-                base.basis.as_ref(),
-            );
+        let upper = tighten_upper(&mut rng, &sf.upper, m.num_vars());
+        let oracle = reference::solve(&sf, &sf.lower, &upper);
+        let warm = solve_lp_warm(&sf, &sf.lower, &upper, &cfg, base.basis.as_ref());
+        assert_eq!(
+            warm.status, oracle.status,
+            "case {case}: warm {:?} vs reference {:?}",
+            warm.status, oracle.status
+        );
+        if warm.used_dual_simplex {
+            dual_resolves += 1;
             assert_eq!(
-                warm.status, cold.status,
-                "case {case} {engine:?}: warm {:?} vs cold {:?}",
-                warm.status, cold.status
+                warm.phase1_iterations, 0,
+                "case {case}: dual re-solve ran phase 1"
             );
-            if cold.status == LpStatus::Optimal {
-                assert!(
-                    (warm.objective - cold.objective).abs() < 1e-6,
-                    "case {case} {engine:?}: warm {} vs cold {}",
-                    warm.objective,
-                    cold.objective
-                );
-            }
-            if warm.used_dual_simplex {
-                dual_resolves += 1;
-                assert_eq!(
-                    warm.phase1_iterations, 0,
-                    "case {case} {engine:?}: dual re-solve ran phase 1"
-                );
-            }
         }
+        if oracle.status != LpStatus::Optimal {
+            continue;
+        }
+        assert!(
+            (warm.objective - oracle.objective).abs() < 1e-6,
+            "case {case}: warm {} vs reference {}",
+            warm.objective,
+            oracle.objective
+        );
+        assert_dual_feasible(
+            &sf,
+            &sf.lower,
+            &upper,
+            &warm.values,
+            &warm.duals,
+            &format!("case {case}"),
+        );
     }
     assert!(
-        dual_resolves > 200,
+        dual_resolves > 100,
         "too few dual re-solves exercised: {dual_resolves}"
     );
 }
@@ -215,8 +173,8 @@ fn good_col(m: usize, j: usize, rng: &mut StdRng) -> Vec<(usize, f64)> {
 /// defense — it records the bad eta and its error compounds with every
 /// such event. The FT update refuses the pivot ([`FtReject`]) and the
 /// engine refactorizes instead, which is what keeps residuals bounded.
-/// This safeguard is why `BasisEngine::SparseLu` is the default and
-/// `SparseEta` is only a differential-testing baseline.
+/// This safeguard is why the engine maintains its factors with FT
+/// updates rather than an eta file.
 #[test]
 fn ft_residuals_stay_bounded_where_eta_file_degrades() {
     let m = 40;

@@ -1,211 +1,68 @@
-//! Differential test of the pricing rules: on random bounded LPs,
-//! Dantzig, devex, and partial devex must agree on status and objective,
-//! and each rule's duals must be dual feasible at the optimum. The
-//! pricing rule only decides *which* improving column enters at each
-//! pivot, so any disagreement in the answer is a bug in the maintained
-//! reduced costs, the devex weight updates, or the candidate list.
+//! Differential test of the pricing engine: on random bounded LPs the
+//! production solve (devex over maintained reduced costs) must agree
+//! with the reference tableau simplex, which prices by Bland's rule on
+//! exact reduced costs, on status and objective, and its duals must be
+//! dual feasible. Pricing only decides *which* improving column enters
+//! at each pivot, so any disagreement is a bug in the maintained reduced
+//! costs or the devex weight updates.
 //!
-//! A proptest rides along: heavily degenerate LPs (many redundant
-//! constraints through one vertex) must still terminate with a proven
-//! optimum under every pricing rule — the Bland's-rule anti-cycling
-//! fallback is shared by all of them.
+//! Partial devex (chosen by size, above 4 096 columns) and the
+//! degenerate-cycling property are checked under both rules by the
+//! `simplex` unit tests, which can force the private rule choice.
 
-// The vendored proptest macro expands one token at a time; the test
-// bodies below get close to the default recursion limit.
-#![recursion_limit = "2048"]
+mod common;
 
-use proptest::prelude::*;
+use common::{assert_dual_feasible, random_model, reference};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use ras_milp::simplex::{solve_lp, LpStatus, PricingRule, SimplexConfig};
+use rand::SeedableRng;
+use ras_milp::simplex::{solve_lp, LpStatus, SimplexConfig};
 use ras_milp::standard::StandardForm;
-use ras_milp::{LinExpr, Model, Sense, VarType};
-
-fn random_model(rng: &mut StdRng) -> Model {
-    let nv: usize = rng.gen_range(2..8);
-    let nc = rng.gen_range(1..8);
-    let mut m = Model::new();
-    let vars: Vec<_> = (0..nv)
-        .map(|i| {
-            m.add_var(
-                format!("x{i}"),
-                VarType::Continuous,
-                0.0,
-                rng.gen_range(1..9) as f64,
-            )
-        })
-        .collect();
-    for ci in 0..nc {
-        let expr = LinExpr::sum(vars.iter().map(|v| (*v, rng.gen_range(-4..5) as f64)));
-        let sense = match rng.gen_range(0..3) {
-            0 => Sense::Le,
-            1 => Sense::Ge,
-            _ => Sense::Eq,
-        };
-        m.add_constraint(format!("c{ci}"), expr, sense, rng.gen_range(-5..12) as f64);
-    }
-    m.set_objective(LinExpr::sum(
-        vars.iter().map(|v| (*v, rng.gen_range(-5..6) as f64)),
-    ));
-    m
-}
-
-/// Checks that `duals` is dual feasible for the solved LP: each column's
-/// reduced cost has the sign its resting bound requires.
-fn assert_dual_feasible(sf: &StandardForm, values: &[f64], duals: &[f64], tag: &str) {
-    assert_eq!(duals.len(), sf.num_rows, "{tag}: dual length");
-    for (j, &vj) in values.iter().enumerate().take(sf.num_cols()) {
-        if sf.lower[j] == sf.upper[j] {
-            continue; // Fixed columns constrain nothing.
-        }
-        let d = sf.costs[j] - sf.matrix.column_dot(j, duals);
-        let at_lo = (vj - sf.lower[j]).abs() < 1e-6;
-        let at_up = (sf.upper[j] - vj).abs() < 1e-6;
-        if at_lo && at_up {
-            continue;
-        }
-        if at_lo {
-            assert!(d > -1e-5, "{tag}: col {j} at lower with d = {d}");
-        } else if at_up {
-            assert!(d < 1e-5, "{tag}: col {j} at upper with d = {d}");
-        } else {
-            assert!(d.abs() < 1e-5, "{tag}: basic col {j} with d = {d}");
-        }
-    }
-}
 
 #[test]
-fn pricing_rules_agree_on_random_lps() {
+fn devex_agrees_with_reference_on_random_lps() {
     let mut rng = StdRng::seed_from_u64(0xDE7E_C7A8);
-    let rules = [
-        PricingRule::Dantzig,
-        PricingRule::Devex,
-        PricingRule::PartialDevex,
-    ];
     // A small refactor interval also exercises the reduced-cost
     // invalidation on refactorization, not just the incremental path.
-    let configs: Vec<SimplexConfig> = rules
-        .iter()
-        .map(|&pricing| SimplexConfig {
-            pricing,
-            refactor_interval: 8,
-            ..SimplexConfig::default()
-        })
-        .collect();
+    let cfg = SimplexConfig {
+        refactor_interval: 8,
+        ..SimplexConfig::default()
+    };
     let mut optimal_cases = 0;
     for case in 0..400 {
         let m = random_model(&mut rng);
         let sf = StandardForm::from_model(&m);
-        let results: Vec<_> = configs
-            .iter()
-            .map(|cfg| solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), cfg))
-            .collect();
-        let baseline = &results[0];
-        for (rule, r) in rules.iter().zip(&results).skip(1) {
-            assert_eq!(
-                baseline.status, r.status,
-                "case {case}: Dantzig {:?} vs {rule:?} {:?}",
-                baseline.status, r.status
-            );
-        }
-        if baseline.status != LpStatus::Optimal {
+        let oracle = reference::solve(&sf, &sf.lower, &sf.upper);
+        let r = solve_lp(&sf, &sf.lower, &sf.upper, &cfg);
+        assert_eq!(
+            r.status, oracle.status,
+            "case {case}: devex {:?} vs reference {:?}",
+            r.status, oracle.status
+        );
+        if r.status != LpStatus::Optimal {
             continue;
         }
         optimal_cases += 1;
-        for (rule, r) in rules.iter().zip(&results) {
-            assert!(
-                (baseline.objective - r.objective).abs() < 1e-6,
-                "case {case}: Dantzig obj {} vs {rule:?} obj {}",
-                baseline.objective,
-                r.objective
-            );
-            assert!(
-                m.violations(&r.values[..m.num_vars()], 1e-5).is_empty(),
-                "case {case}: {rule:?} solution violates the model"
-            );
-            assert_dual_feasible(&sf, &r.values, &r.duals, &format!("case {case} {rule:?}"));
-        }
+        assert!(
+            (r.objective - oracle.objective).abs() < 1e-6,
+            "case {case}: devex obj {} vs reference obj {}",
+            r.objective,
+            oracle.objective
+        );
+        assert!(
+            m.violations(&r.values[..m.num_vars()], 1e-5).is_empty(),
+            "case {case}: solution violates the model"
+        );
+        assert_dual_feasible(
+            &sf,
+            &sf.lower,
+            &sf.upper,
+            &r.values,
+            &r.duals,
+            &format!("case {case}"),
+        );
     }
     assert!(
         optimal_cases > 100,
         "too few optimal cases exercised: {optimal_cases}"
     );
-}
-
-/// A model built to pivot through one massively degenerate vertex: many
-/// redundant copies of the same binding constraint.
-fn degenerate_model(nv: usize, copies: usize, coeffs: &[i8]) -> Model {
-    let mut m = Model::new();
-    let vars: Vec<_> = (0..nv)
-        .map(|i| m.add_var(format!("x{i}"), VarType::Continuous, 0.0, f64::INFINITY))
-        .collect();
-    for c in 0..copies {
-        let expr = LinExpr::sum(vars.iter().map(|v| (*v, 1.0)));
-        m.add_constraint(format!("r{c}"), expr, Sense::Le, 10.0);
-    }
-    // One extra constraint so the optimum is a genuine vertex.
-    let expr = LinExpr::sum(
-        vars.iter()
-            .zip(coeffs.iter().cycle())
-            .map(|(v, &c)| (*v, c as f64)),
-    );
-    m.add_constraint("tilt", expr, Sense::Le, 0.0);
-    m.set_objective(LinExpr::sum(vars.iter().map(|v| (*v, -1.0))));
-    m
-}
-
-/// Runs the degenerate model under every pricing rule; returns an error
-/// message when any rule fails to terminate optimally or the rules
-/// disagree on the optimum. The shape of the model is derived from a
-/// proptest-supplied seed (keeping the macro input to one parameter —
-/// the vendored proptest expands its input token by token).
-fn check_degenerate_terminates(seed: u64) -> Result<(), String> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let nv = rng.gen_range(2..6);
-    let copies = rng.gen_range(8..24);
-    let coeffs: Vec<i8> = (0..6).map(|_| rng.gen_range(-1..=1)).collect();
-    let m = degenerate_model(nv, copies, &coeffs);
-    let sf = StandardForm::from_model(&m);
-    let mut objectives = Vec::new();
-    for pricing in [
-        PricingRule::Dantzig,
-        PricingRule::Devex,
-        PricingRule::PartialDevex,
-    ] {
-        let cfg = SimplexConfig {
-            pricing,
-            // Tight enough that a cycle would hit it, loose enough that
-            // honest degenerate stalling never does.
-            max_iterations: 10_000,
-            ..SimplexConfig::default()
-        };
-        let r = solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), &cfg);
-        if r.status != LpStatus::Optimal {
-            return Err(format!(
-                "{pricing:?} failed to terminate optimally: {:?}",
-                r.status
-            ));
-        }
-        objectives.push(r.objective);
-    }
-    for obj in &objectives[1..] {
-        if (objectives[0] - obj).abs() > 1e-6 {
-            return Err(format!("objectives diverge across rules: {objectives:?}"));
-        }
-    }
-    Ok(())
-}
-
-// Degenerate vertices must not cycle under any pricing rule: the shared
-// Bland's-rule fallback (exact reduced costs, first eligible column)
-// guarantees termination at the same proven optimum.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn degenerate_lps_terminate_under_every_rule(seed in 0u64..u64::MAX) {
-        if let Err(msg) = check_degenerate_terminates(seed) {
-            prop_assert!(false, "{msg}");
-        }
-    }
 }

@@ -1,80 +1,22 @@
-//! Differential test of the two basis engines: on random bounded LPs the
-//! sparse LU engine must agree with the dense engine on status and
-//! objective, and each engine's duals must be dual feasible. Duals are
-//! *not* compared for equality — degenerate optima admit many valid dual
-//! vectors — but dual feasibility at the reported primal point is a
-//! property every optimal basis satisfies.
+//! Differential test of the cold solve: on random bounded LPs the
+//! production engine (Forrest–Tomlin sparse LU) must agree with the dense
+//! reference tableau simplex on status and objective, its solution must
+//! satisfy the model, and its duals must be dual feasible.
 
+mod common;
+
+use common::{assert_dual_feasible, random_model, reference};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use ras_milp::simplex::{solve_lp, BasisEngine, LpStatus, SimplexConfig};
+use rand::SeedableRng;
+use ras_milp::simplex::{solve_lp, LpStatus, SimplexConfig};
 use ras_milp::standard::StandardForm;
-use ras_milp::{LinExpr, Model, Sense, VarType};
-
-fn random_model(rng: &mut StdRng) -> Model {
-    let nv: usize = rng.gen_range(2..8);
-    let nc = rng.gen_range(1..8);
-    let mut m = Model::new();
-    let vars: Vec<_> = (0..nv)
-        .map(|i| {
-            m.add_var(
-                format!("x{i}"),
-                VarType::Continuous,
-                0.0,
-                rng.gen_range(1..9) as f64,
-            )
-        })
-        .collect();
-    for ci in 0..nc {
-        let expr = LinExpr::sum(vars.iter().map(|v| (*v, rng.gen_range(-4..5) as f64)));
-        let sense = match rng.gen_range(0..3) {
-            0 => Sense::Le,
-            1 => Sense::Ge,
-            _ => Sense::Eq,
-        };
-        m.add_constraint(format!("c{ci}"), expr, sense, rng.gen_range(-5..12) as f64);
-    }
-    m.set_objective(LinExpr::sum(
-        vars.iter().map(|v| (*v, rng.gen_range(-5..6) as f64)),
-    ));
-    m
-}
-
-/// Checks that `duals` is dual feasible for the solved LP: each column's
-/// reduced cost has the sign its resting bound requires.
-fn assert_dual_feasible(sf: &StandardForm, values: &[f64], duals: &[f64], tag: &str) {
-    assert_eq!(duals.len(), sf.num_rows, "{tag}: dual length");
-    for (j, &vj) in values.iter().enumerate().take(sf.num_cols()) {
-        if sf.lower[j] == sf.upper[j] {
-            continue; // Fixed columns constrain nothing.
-        }
-        let d = sf.costs[j] - sf.matrix.column_dot(j, duals);
-        let at_lo = (vj - sf.lower[j]).abs() < 1e-6;
-        let at_up = (sf.upper[j] - vj).abs() < 1e-6;
-        if at_lo && at_up {
-            continue;
-        }
-        if at_lo {
-            assert!(d > -1e-5, "{tag}: col {j} at lower with d = {d}");
-        } else if at_up {
-            assert!(d < 1e-5, "{tag}: col {j} at upper with d = {d}");
-        } else {
-            assert!(d.abs() < 1e-5, "{tag}: basic col {j} with d = {d}");
-        }
-    }
-}
 
 #[test]
-fn sparse_and_dense_agree_on_random_lps() {
+fn sparse_engine_agrees_with_dense_reference_on_random_lps() {
     let mut rng = StdRng::seed_from_u64(0x5EED_D1FF);
-    let dense_cfg = SimplexConfig {
-        engine: BasisEngine::Dense,
-        ..SimplexConfig::default()
-    };
     // A small refactor interval exercises the LU factorization (not just
-    // the diagonal crash basis + etas) on these small instances.
-    let sparse_cfg = SimplexConfig {
-        engine: BasisEngine::SparseLu,
+    // the diagonal crash basis + updates) on these small instances.
+    let cfg = SimplexConfig {
         refactor_interval: 4,
         ..SimplexConfig::default()
     };
@@ -82,43 +24,34 @@ fn sparse_and_dense_agree_on_random_lps() {
     for case in 0..400 {
         let m = random_model(&mut rng);
         let sf = StandardForm::from_model(&m);
-        let dense = solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), &dense_cfg);
-        let sparse = solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), &sparse_cfg);
+        let oracle = reference::solve(&sf, &sf.lower, &sf.upper);
+        let r = solve_lp(&sf, &sf.lower, &sf.upper, &cfg);
         assert_eq!(
-            dense.status, sparse.status,
-            "case {case}: dense {:?} vs sparse {:?}",
-            dense.status, sparse.status
+            r.status, oracle.status,
+            "case {case}: production {:?} vs reference {:?}",
+            r.status, oracle.status
         );
-        if dense.status != LpStatus::Optimal {
+        if r.status != LpStatus::Optimal {
             continue;
         }
         optimal_cases += 1;
         assert!(
-            (dense.objective - sparse.objective).abs() < 1e-6,
-            "case {case}: dense obj {} vs sparse obj {}",
-            dense.objective,
-            sparse.objective
+            (r.objective - oracle.objective).abs() < 1e-6,
+            "case {case}: production obj {} vs reference obj {}",
+            r.objective,
+            oracle.objective
         );
         assert!(
-            m.violations(&dense.values[..m.num_vars()], 1e-5).is_empty(),
-            "case {case}: dense solution violates the model"
-        );
-        assert!(
-            m.violations(&sparse.values[..m.num_vars()], 1e-5)
-                .is_empty(),
-            "case {case}: sparse solution violates the model"
+            m.violations(&r.values[..m.num_vars()], 1e-5).is_empty(),
+            "case {case}: solution violates the model"
         );
         assert_dual_feasible(
             &sf,
-            &dense.values,
-            &dense.duals,
-            &format!("case {case} dense"),
-        );
-        assert_dual_feasible(
-            &sf,
-            &sparse.values,
-            &sparse.duals,
-            &format!("case {case} sparse"),
+            &sf.lower,
+            &sf.upper,
+            &r.values,
+            &r.duals,
+            &format!("case {case}"),
         );
     }
     assert!(

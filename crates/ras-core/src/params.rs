@@ -72,11 +72,6 @@ pub struct SolverParams {
     /// builds only; production runs opt in with [`AuditMode::On`] to
     /// certify every warm round against the same invariants as cold ones.
     pub audit: AuditMode,
-    /// Route warm re-solves through the true dual simplex (bound-only
-    /// round diffs then re-solve with zero phase-1 iterations). `false`
-    /// restores the legacy warm-primal repair loop; kept as the
-    /// benchmark baseline, not a production setting.
-    pub warm_dual: bool,
     /// How aggressively solves aggregate before the MIP (see
     /// [`crate::aggregate`]). [`AggregationLevel::Classes`] is today's
     /// behavior (the paper's symmetric-server classes);
@@ -111,7 +106,6 @@ impl Default for SolverParams {
             phase1_granularity: Granularity::Msb,
             shards: 1,
             audit: AuditMode::Auto,
-            warm_dual: true,
             aggregation: AggregationLevel::Classes,
             exact_ratchet_interval: 4,
         }

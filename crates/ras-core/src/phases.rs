@@ -204,7 +204,6 @@ pub(crate) fn solve_prepared(
         initial_incumbent: Some(best_incumbent(ras, region, specs, classes, params)),
         warm_start: warm,
         audit: params.audit,
-        warm_dual: params.warm_dual,
         ..SolveConfig::default()
     };
     let mut solution = ras.model.solve_with(&config);

@@ -1,98 +1,28 @@
 //! Differential tests for the two-sided aggregation pipeline:
 //!
-//! * `AggregationLevel::Off` reproduces the staged pipeline's default
-//!   (`Classes`) targets bit-for-bit across churning rounds — the
-//!   refactor of the legacy class builder into an [`Aggregator`] stage
-//!   changed nothing observable;
 //! * property: clustering reservations with identical fungibility
 //!   footprints and disaggregating the reduced solution lands within the
 //!   documented sharded tolerance of the exact (Classes-level) solve,
 //!   and stays capacity-feasible;
 //! * a continuous clustered session tracks the exact solve round over
 //!   round and certifies every exact-model ratchet it runs.
-//!
-//! [`Aggregator`]: ras::core::aggregate::Aggregator
 
 #![recursion_limit = "512"]
 
 use proptest::prelude::*;
-use ras::broker::{ResourceBroker, SimTime, UnavailabilityEvent, UnavailabilityKind};
+use ras::broker::{ResourceBroker, SimTime};
 use ras::core::rru::RruTable;
 use ras::core::{
     evaluate_targets, sharded_tolerance, AggregationLevel, AsyncSolver, AuditMode, ReservationSpec,
     SolverParams,
 };
-use ras::topology::{RegionBuilder, RegionTemplate, ScopeId, ServerId};
+use ras::topology::{RegionBuilder, RegionTemplate};
 
 fn params_at(level: AggregationLevel) -> SolverParams {
     SolverParams {
         aggregation: level,
         audit: AuditMode::On,
         ..SolverParams::default()
-    }
-}
-
-/// Off must be byte-identical to the default Classes pipeline: same
-/// targets on every round of a churning fleet, so applying either plan
-/// leaves the two brokers in identical states.
-#[test]
-fn off_reproduces_classes_targets_bit_for_bit() {
-    let region = RegionBuilder::new(RegionTemplate::tiny(), 11).build();
-    let rru = RruTable::uniform(&region.catalog, 1.0);
-    let specs = vec![
-        ReservationSpec::guaranteed("web", 40.0, rru.clone()),
-        ReservationSpec::guaranteed("feed", 20.0, rru),
-    ];
-
-    let mut worlds: Vec<(AsyncSolver, ResourceBroker)> =
-        [AggregationLevel::Off, AggregationLevel::Classes]
-            .into_iter()
-            .map(|level| {
-                let mut broker = ResourceBroker::new(region.server_count());
-                for s in &specs {
-                    broker.register_reservation(&s.name);
-                }
-                (AsyncSolver::new(params_at(level)), broker)
-            })
-            .collect();
-
-    for round in 0..3u64 {
-        // Deterministic churn, applied identically to both worlds.
-        for k in 0..3usize {
-            let victim =
-                ServerId::from_index((round as usize * 17 + k * 5) % region.server_count());
-            for (_, broker) in worlds.iter_mut() {
-                let _ = broker.mark_down(UnavailabilityEvent {
-                    server: victim,
-                    kind: UnavailabilityKind::UnplannedHardware,
-                    scope: ScopeId::Server(victim),
-                    start: SimTime::from_hours(round),
-                    expected_end: None,
-                });
-            }
-        }
-        let mut targets = Vec::new();
-        for (solver, broker) in worlds.iter_mut() {
-            let snapshot = broker.snapshot(SimTime::from_hours(round));
-            let output = solver
-                .solve(&region, &specs, &snapshot)
-                .expect("round must solve");
-            solver.apply(&output, broker).expect("apply");
-            for s in broker.pending_moves() {
-                let target = broker.record(s).map(|r| r.target).unwrap_or(None);
-                let _ = broker.bind_current(s, target);
-            }
-            targets.push((output.targets.clone(), output.phase1.objective));
-        }
-        assert_eq!(
-            targets[0].0, targets[1].0,
-            "round {round}: Off and Classes targets must be identical"
-        );
-        assert_eq!(
-            targets[0].1.to_bits(),
-            targets[1].1.to_bits(),
-            "round {round}: objectives must agree to the bit"
-        );
     }
 }
 

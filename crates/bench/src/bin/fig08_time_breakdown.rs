@@ -9,6 +9,7 @@ use ras_bench::{fmt, instance, Experiment};
 use ras_broker::SimTime;
 use ras_core::solver::AsyncSolver;
 use ras_core::stats::PhaseStats;
+use ras_milp::SolveStats;
 use ras_topology::RegionTemplate;
 
 fn main() {
@@ -25,18 +26,9 @@ fn main() {
     // Average the breakdown over several perturbed solves.
     let mut acc: [PhaseStats; 2] = [PhaseStats::default(), PhaseStats::default()];
     let mut phase2_runs = 0usize;
-    // Pricing-engine counters aggregated across both phases (the MIP
-    // step's simplex work, which dominates phase 1).
-    let mut pivots = 0usize;
-    let mut rebuilds = 0usize;
-    let mut cand_hits = 0usize;
-    // Basis-maintenance counters: dual-simplex pivots, in-place
-    // factorization updates, and refactorizations by trigger.
-    let mut dual_pivots = 0usize;
-    let mut basis_updates = 0usize;
-    let mut refac_interval = 0usize;
-    let mut refac_growth = 0usize;
-    let mut refac_accuracy = 0usize;
+    // Pricing and basis-maintenance counters summed across both phases
+    // (the MIP step's simplex work, which dominates phase 1).
+    let mut lp = SolveStats::default();
     let rounds = 10u64;
     for round in 0..rounds {
         instance::perturb(&mut inst, round);
@@ -54,14 +46,7 @@ fn main() {
                 acc[slot].initial_state_seconds += s.initial_state_seconds;
                 acc[slot].mip_seconds += s.mip_seconds;
                 acc[slot].total_seconds += s.total_seconds;
-                pivots += s.mip_stats.simplex_iterations;
-                rebuilds += s.mip_stats.pricing_full_rebuilds;
-                cand_hits += s.mip_stats.pricing_candidate_hits;
-                dual_pivots += s.mip_stats.dual_iterations;
-                basis_updates += s.mip_stats.basis_updates;
-                refac_interval += s.mip_stats.refactors_interval;
-                refac_growth += s.mip_stats.refactors_growth;
-                refac_accuracy += s.mip_stats.refactors_accuracy;
+                lp.merge_counters(&s.mip_stats);
                 if slot == 1 {
                     phase2_runs += 1;
                 }
@@ -106,13 +91,18 @@ fn main() {
         "{phase2_runs}/{rounds} solves ran a phase 2 (it only runs when rack goals are violated)"
     ));
     exp.note(format!(
-        "pricing: {pivots} simplex pivots, {rebuilds} full reduced-cost rebuilds, \
-         {cand_hits} candidate-list hits"
+        "pricing: {} simplex pivots, {} full reduced-cost rebuilds, \
+         {} candidate-list hits",
+        lp.simplex_iterations, lp.pricing_full_rebuilds, lp.pricing_candidate_hits
     ));
     exp.note(format!(
-        "basis: {dual_pivots} dual pivots, {basis_updates} Forrest-Tomlin updates, \
-         refactorizations {refac_interval} interval / {refac_growth} growth / \
-         {refac_accuracy} accuracy"
+        "basis: {} dual pivots, {} Forrest-Tomlin updates, \
+         refactorizations {} interval / {} growth / {} accuracy",
+        lp.dual_iterations,
+        lp.basis_updates,
+        lp.refactors_interval,
+        lp.refactors_growth,
+        lp.refactors_accuracy
     ));
     exp.note("shape check: MIP share of phase 1 should exceed its share of phase 2");
     exp.finish();

@@ -62,8 +62,6 @@ fn main() {
             "basis",
             "seeded",
             "pruned",
-            "agg_ratio",
-            "clusters",
             "audit",
         ],
     );
@@ -100,8 +98,6 @@ fn main() {
             .to_string(),
             r.warm.incumbent_seeded.to_string(),
             r.warm.nodes_pruned_by_seed.to_string(),
-            format!("{:.2}x", r.reduction_ratio),
-            r.spec_clusters.to_string(),
             (if r.audit_certified {
                 "certified".to_string()
             } else {

@@ -51,7 +51,7 @@ impl WarmStart {
 }
 
 /// Statistics from a solve, used by the Figures 7–11 experiments.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SolveStats {
     /// Branch-and-bound nodes explored.
     pub nodes: usize,
@@ -133,6 +133,62 @@ impl SolveStats {
         self.refactors_accuracy += lp.basis_stats.refactors_accuracy;
         self.pricing_candidate_hits += lp.pricing.candidate_hits;
         self.pricing_full_rebuilds += lp.pricing.full_rebuilds;
+    }
+
+    /// Folds another solve's counters into these totals: work counters
+    /// and the absolute gap sum, "happened at least once" flags OR, and
+    /// `solve_seconds` takes the max (merged solves run side by side,
+    /// as shards do). Per-solve outcomes (bounds, relative gap, step
+    /// timings, warm-start verdicts, audit) are left to the caller. The
+    /// exhaustive destructuring makes a new field fail to compile here
+    /// until it is given a merge rule.
+    pub fn merge_counters(&mut self, other: &SolveStats) {
+        let SolveStats {
+            nodes,
+            simplex_iterations,
+            phase1_iterations,
+            dual_iterations,
+            used_dual_simplex,
+            root_phase1_iterations,
+            root_used_dual_simplex,
+            lp_refactorizations,
+            basis_updates,
+            refactors_interval,
+            refactors_growth,
+            refactors_accuracy,
+            pricing_candidate_hits,
+            pricing_full_rebuilds,
+            solve_seconds,
+            best_bound: _,
+            absolute_gap,
+            gap: _,
+            hit_limit,
+            setup_seconds: _,
+            root_lp_seconds: _,
+            mip_seconds: _,
+            warm_basis_accepted: _,
+            incumbent_seeded: _,
+            nodes_pruned_by_seed,
+            audit: _,
+        } = other;
+        self.nodes += nodes;
+        self.simplex_iterations += simplex_iterations;
+        self.phase1_iterations += phase1_iterations;
+        self.dual_iterations += dual_iterations;
+        self.used_dual_simplex |= used_dual_simplex;
+        self.root_phase1_iterations += root_phase1_iterations;
+        self.root_used_dual_simplex |= root_used_dual_simplex;
+        self.lp_refactorizations += lp_refactorizations;
+        self.basis_updates += basis_updates;
+        self.refactors_interval += refactors_interval;
+        self.refactors_growth += refactors_growth;
+        self.refactors_accuracy += refactors_accuracy;
+        self.pricing_candidate_hits += pricing_candidate_hits;
+        self.pricing_full_rebuilds += pricing_full_rebuilds;
+        self.solve_seconds = solve_seconds.max(self.solve_seconds);
+        self.absolute_gap += absolute_gap;
+        self.hit_limit |= hit_limit;
+        self.nodes_pruned_by_seed += nodes_pruned_by_seed;
     }
 }
 
@@ -303,6 +359,101 @@ mod tests {
     #[test]
     fn error_messages() {
         assert_eq!(SolveError::Infeasible.to_string(), "model is infeasible");
+    }
+
+    #[test]
+    fn merge_counters_sums_work_and_keeps_per_solve_fields() {
+        // Full literals on purpose: a new field must be added here (and
+        // given a merge rule) before this compiles.
+        let mut totals = SolveStats {
+            nodes: 1,
+            simplex_iterations: 2,
+            phase1_iterations: 3,
+            dual_iterations: 4,
+            used_dual_simplex: false,
+            root_phase1_iterations: 5,
+            root_used_dual_simplex: false,
+            lp_refactorizations: 6,
+            basis_updates: 7,
+            refactors_interval: 8,
+            refactors_growth: 9,
+            refactors_accuracy: 10,
+            pricing_candidate_hits: 11,
+            pricing_full_rebuilds: 12,
+            solve_seconds: 1.5,
+            best_bound: 10.0,
+            absolute_gap: 0.25,
+            gap: 0.01,
+            hit_limit: false,
+            setup_seconds: 0.1,
+            root_lp_seconds: 0.2,
+            mip_seconds: 0.3,
+            warm_basis_accepted: true,
+            incumbent_seeded: true,
+            nodes_pruned_by_seed: 13,
+            audit: crate::audit::AuditReport::default(),
+        };
+        let other = SolveStats {
+            nodes: 100,
+            simplex_iterations: 200,
+            phase1_iterations: 300,
+            dual_iterations: 400,
+            used_dual_simplex: true,
+            root_phase1_iterations: 500,
+            root_used_dual_simplex: true,
+            lp_refactorizations: 600,
+            basis_updates: 700,
+            refactors_interval: 800,
+            refactors_growth: 900,
+            refactors_accuracy: 1000,
+            pricing_candidate_hits: 1100,
+            pricing_full_rebuilds: 1200,
+            solve_seconds: 2.5,
+            best_bound: 20.0,
+            absolute_gap: 0.5,
+            gap: 0.02,
+            hit_limit: true,
+            setup_seconds: 1.0,
+            root_lp_seconds: 2.0,
+            mip_seconds: 3.0,
+            warm_basis_accepted: false,
+            incumbent_seeded: false,
+            nodes_pruned_by_seed: 1300,
+            audit: crate::audit::AuditReport {
+                certified: true,
+                ..Default::default()
+            },
+        };
+        totals.merge_counters(&other);
+        let expected = SolveStats {
+            nodes: 101,
+            simplex_iterations: 202,
+            phase1_iterations: 303,
+            dual_iterations: 404,
+            used_dual_simplex: true,
+            root_phase1_iterations: 505,
+            root_used_dual_simplex: true,
+            lp_refactorizations: 606,
+            basis_updates: 707,
+            refactors_interval: 808,
+            refactors_growth: 909,
+            refactors_accuracy: 1010,
+            pricing_candidate_hits: 1111,
+            pricing_full_rebuilds: 1212,
+            solve_seconds: 2.5,
+            best_bound: 10.0,
+            absolute_gap: 0.75,
+            gap: 0.01,
+            hit_limit: true,
+            setup_seconds: 0.1,
+            root_lp_seconds: 0.2,
+            mip_seconds: 0.3,
+            warm_basis_accepted: true,
+            incumbent_seeded: true,
+            nodes_pruned_by_seed: 1313,
+            audit: crate::audit::AuditReport::default(),
+        };
+        assert_eq!(totals, expected);
     }
 
     #[test]

@@ -8,12 +8,18 @@
 //! that are unavailable for *unplanned* reasons are excluded entirely
 //! (the availability constraint); planned maintenance remains usable
 //! capacity (Section 3.3.1).
+//!
+//! [`build_reduction`] is the one reduction every solve path runs: it
+//! builds the classes, interns their labels and records the size stats.
 
 use std::collections::BTreeMap;
 
 use ras_broker::{BrokerSnapshot, ReservationId, UnavailabilityKind};
 use ras_topology::{DatacenterId, HardwareTypeId, MsbId, RackId, Region, ServerId};
 use serde::{Deserialize, Serialize};
+
+use crate::model::solver_visible;
+use crate::reservation::ReservationSpec;
 
 /// Location granularity of the class key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -56,9 +62,9 @@ impl EquivClass {
     /// names embed this label so a basis snapshotted in one round can be
     /// matched by name against the next round's model even after classes
     /// appeared, vanished, or were reordered (see `ras_milp::Basis::remap`).
-    /// Labels are built once per [`Reduction`](crate::aggregate::Reduction)
-    /// into an interned table; model build and basis remap reuse that
-    /// table instead of re-deriving a fresh `String` per class per round.
+    /// Labels are built once per [`Reduction`] into an interned table;
+    /// model build and basis remap reuse that table instead of
+    /// re-deriving a fresh `String` per class per round.
     pub fn label(&self) -> String {
         use std::fmt::Write;
         fn opt(out: &mut String, r: Option<ReservationId>) {
@@ -206,6 +212,71 @@ pub fn total_servers(classes: &[EquivClass]) -> usize {
     classes.iter().map(|c| c.count()).sum()
 }
 
+/// Size accounting of one class reduction.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct ReductionStats {
+    /// Servers covered by the classes.
+    pub servers: usize,
+    /// Servers the class builder excluded as unplanned-unavailable
+    /// (`servers + servers_excluded` equals the include-filtered
+    /// universe, asserted in debug builds).
+    pub servers_excluded: usize,
+    /// Class count.
+    pub classes: usize,
+    /// Eligible (class, reservation) assignment variables of the
+    /// class-reduced model.
+    pub vars_reduced: usize,
+}
+
+/// One solve's server-side reduction: the classes, their interned
+/// labels, and size stats. Every solve path builds it once per round and
+/// threads it through model build, warm-start diffing and target
+/// concretization.
+#[derive(Debug, Clone)]
+pub struct Reduction {
+    /// The equivalence classes.
+    pub classes: Vec<EquivClass>,
+    /// Interned class labels, parallel to `classes`, reused for model
+    /// variable/row names and basis remapping.
+    pub labels: Vec<String>,
+    /// Size accounting.
+    pub stats: ReductionStats,
+}
+
+/// Builds the classes for one solve over `specs` (see
+/// [`build_classes`] for `include`), interns their labels and counts
+/// the eligible assignment variables.
+pub fn build_reduction(
+    region: &Region,
+    snapshot: &BrokerSnapshot,
+    specs: &[ReservationSpec],
+    granularity: Granularity,
+    include: Option<&dyn Fn(ServerId) -> bool>,
+) -> Reduction {
+    let (classes, excluded) = build_classes_counted(region, snapshot, granularity, include);
+    let labels = classes.iter().map(|c| c.label()).collect();
+    let vars_reduced = classes
+        .iter()
+        .map(|class| {
+            specs
+                .iter()
+                .filter(|s| solver_visible(s) && s.rru.eligible(class.hardware))
+                .count()
+        })
+        .sum();
+    let stats = ReductionStats {
+        servers: total_servers(&classes),
+        servers_excluded: excluded,
+        classes: classes.len(),
+        vars_reduced,
+    };
+    Reduction {
+        classes,
+        labels,
+        stats,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,6 +383,39 @@ mod tests {
         let (classes, excluded) = build_classes_counted(&region, &snap, Granularity::Msb, None);
         assert_eq!(excluded, 1);
         assert_eq!(total_servers(&classes) + excluded, region.server_count());
+    }
+
+    #[test]
+    fn reduction_interns_labels_and_counts_the_universe() {
+        let (region, mut broker) = setup();
+        let down = ServerId(5);
+        broker
+            .mark_down(UnavailabilityEvent {
+                server: down,
+                kind: UnavailabilityKind::UnplannedHardware,
+                scope: ScopeId::Server(down),
+                start: SimTime::ZERO,
+                expected_end: None,
+            })
+            .unwrap();
+        let snap = broker.snapshot(SimTime::ZERO);
+        let specs = vec![crate::reservation::ReservationSpec::guaranteed(
+            "web",
+            30.0,
+            crate::rru::RruTable::uniform(&region.catalog, 1.0),
+        )];
+        let r = build_reduction(&region, &snap, &specs, Granularity::Msb, None);
+        let plain = build_classes(&region, &snap, Granularity::Msb, None);
+        assert_eq!(r.classes.len(), plain.len());
+        for ((a, b), label) in r.classes.iter().zip(&plain).zip(&r.labels) {
+            assert_eq!(a.servers, b.servers);
+            assert_eq!(label, &b.label(), "interned label must match the class");
+        }
+        assert_eq!(r.stats.classes, plain.len());
+        assert_eq!(r.stats.servers_excluded, 1);
+        assert_eq!(r.stats.servers + 1, region.server_count());
+        // One uniform spec is eligible on every hardware type.
+        assert_eq!(r.stats.vars_reduced, plain.len());
     }
 
     #[test]

@@ -15,9 +15,8 @@
 //! * [`reservation`] — reservation specs, spread policies, affinity;
 //! * [`rru`] — relative-resource-unit tables;
 //! * [`params`] — the MIP weights of Table 1 (`Ms`, `β`, `τ`, `αK`, `αF`, `θ`);
-//! * [`classes`] — symmetric-server equivalence-class reduction;
-//! * [`aggregate`] — the two-sided aggregation pipeline (server classes
-//!   plus CvxCluster-style spec clustering) with certified disaggregation;
+//! * [`classes`] — symmetric-server equivalence-class reduction (the
+//!   one model reduction: classes, interned labels, size stats);
 //! * [`model`] — the MIP build (Expressions 1–7) with constraint softening;
 //! * [`assign`] — concretization of class counts into per-server targets;
 //! * [`phases`] — the two-phase solve orchestration;
@@ -30,7 +29,6 @@
 //! * [`emergency`] — the out-of-band emergency allocation path;
 //! * [`stats`] — per-phase timing/size breakdowns (Figures 8, 10, 11).
 
-pub mod aggregate;
 pub mod assign;
 pub mod baseline;
 pub mod buffers;
@@ -47,12 +45,9 @@ pub mod rru;
 pub mod session;
 pub mod shard;
 pub mod solver;
-pub mod stacking;
 pub mod stats;
 
-pub use aggregate::{
-    build_reduction, AggregationLevel, Aggregator, DisaggStats, Reduction, ReductionStats,
-};
+pub use classes::{build_reduction, Reduction, ReductionStats};
 pub use error::CoreError;
 pub use params::SolverParams;
 pub use ras_milp::cast;

@@ -259,10 +259,10 @@ pub fn build_model(
     )
 }
 
-/// [`build_model`] with the class labels supplied by the caller — the
-/// aggregation pipeline interns one label table per
-/// [`Reduction`](crate::aggregate::Reduction) and reuses it for model
-/// names and basis remapping instead of re-deriving every label here.
+/// [`build_model`] with the class labels supplied by the caller — each
+/// solve interns one label table per [`Reduction`](crate::classes::Reduction)
+/// and reuses it for model names and basis remapping instead of
+/// re-deriving every label here.
 /// `labels` must be parallel to `classes`.
 pub fn build_model_labeled(
     region: &Region,

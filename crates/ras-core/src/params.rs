@@ -3,7 +3,6 @@
 use ras_milp::AuditMode;
 use serde::{Deserialize, Serialize};
 
-use crate::aggregate::AggregationLevel;
 use crate::classes::Granularity;
 use ras_milp::tol;
 
@@ -72,17 +71,6 @@ pub struct SolverParams {
     /// builds only; production runs opt in with [`AuditMode::On`] to
     /// certify every warm round against the same invariants as cold ones.
     pub audit: AuditMode,
-    /// How aggressively solves aggregate before the MIP (see
-    /// [`crate::aggregate`]). [`AggregationLevel::Classes`] is today's
-    /// behavior (the paper's symmetric-server classes);
-    /// [`AggregationLevel::Clusters`] additionally merges reservations
-    /// with identical hardware-fungibility footprints, CvxCluster-style.
-    pub aggregation: AggregationLevel,
-    /// At [`AggregationLevel::Clusters`], solve the unreduced
-    /// (`Classes`-level) model every N session rounds and compare plan
-    /// objectives — the exact-model ratchet bounding aggregation drift.
-    /// 0 disables the ratchet.
-    pub exact_ratchet_interval: usize,
 }
 
 impl Default for SolverParams {
@@ -106,8 +94,6 @@ impl Default for SolverParams {
             phase1_granularity: Granularity::Msb,
             shards: 1,
             audit: AuditMode::Auto,
-            aggregation: AggregationLevel::Classes,
-            exact_ratchet_interval: 4,
         }
     }
 }
@@ -130,7 +116,5 @@ mod tests {
         assert!(p.soften_penalty > p.move_cost_in_use);
         assert!(p.stability_bonus < p.move_cost_unused);
         assert_eq!(p.phase2_reservation_fraction, 0.10);
-        assert_eq!(p.aggregation, AggregationLevel::Classes);
-        assert!(p.exact_ratchet_interval > 0);
     }
 }

@@ -14,9 +14,8 @@ use ras_broker::{BrokerSnapshot, ReservationId};
 use ras_milp::{SolveConfig, SolveError, WarmStart};
 use ras_topology::{Region, ServerId};
 
-use crate::aggregate::{build_reduction, ReductionStats};
 use crate::assign::concretize;
-use crate::classes::{EquivClass, Granularity};
+use crate::classes::{build_reduction, EquivClass, Granularity, ReductionStats};
 use crate::error::CoreError;
 use crate::model::{build_model_labeled, soften_baseline, solver_visible, RasModel};
 use crate::params::SolverParams;
@@ -318,18 +317,11 @@ pub fn run_phase(
     let filter_dyn: Option<&dyn Fn(ServerId) -> bool> =
         filter.as_ref().map(|f| f as &dyn Fn(ServerId) -> bool);
 
-    // Rack-granularity (phase-2) solves never cluster specs: their
-    // universe and visibility change every round, so aggregate identities
-    // would churn for no reuse benefit.
-    let level = match granularity {
-        Granularity::Rack => params.aggregation.without_spec_clusters(),
-        Granularity::Msb => params.aggregation,
-    };
     let build_start = Instant::now();
-    let reduction = build_reduction(region, snapshot, specs, granularity, level, filter_dyn);
+    let reduction = build_reduction(region, snapshot, specs, granularity, filter_dyn);
     let ras = build_model_labeled(
         region,
-        &reduction.specs,
+        specs,
         &reduction.classes,
         &reduction.labels,
         params,
@@ -340,7 +332,7 @@ pub fn run_phase(
 
     let result = solve_prepared(
         region,
-        &reduction.specs,
+        specs,
         &reduction.classes,
         &reduction.labels,
         &ras,
@@ -348,15 +340,13 @@ pub fn run_phase(
         rack_goals,
         None,
     )?;
-    let disaggregated;
-    let counts: &[Vec<usize>] = if reduction.has_clusters() {
-        let (full, _disagg) = reduction.disaggregate_counts(snapshot, specs, &result.counts);
-        disaggregated = full;
-        &disaggregated
-    } else {
-        &result.counts
-    };
-    let targets = concretize(region, snapshot, &reduction.classes, counts, specs.len());
+    let targets = concretize(
+        region,
+        snapshot,
+        &reduction.classes,
+        &result.counts,
+        specs.len(),
+    );
     let stats = make_stats(phase_start, ras_build_seconds, reduction.stats, &result);
     Ok((targets, stats))
 }

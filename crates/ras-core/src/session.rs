@@ -52,14 +52,13 @@ use ras_milp::{Basis, WarmStart};
 use ras_topology::{Region, ServerId};
 use serde::{Deserialize, Serialize};
 
-use crate::aggregate::{build_reduction, AggregationLevel, Reduction};
 use crate::assign::concretize;
+use crate::classes::{build_reduction, Reduction};
 use crate::error::CoreError;
 use crate::model::{build_model_labeled, current_counts, movement_constant, RasModel};
 use crate::params::SolverParams;
-use crate::phases::{make_stats, refine_with_phase2, run_phase, solve_prepared, TwoPhaseOutcome};
+use crate::phases::{make_stats, refine_with_phase2, solve_prepared, TwoPhaseOutcome};
 use crate::reservation::ReservationSpec;
-use crate::shard::{evaluate_targets, sharded_tolerance};
 use ras_milp::tol;
 
 /// What warm-start machinery did in one session round (the observability
@@ -106,34 +105,6 @@ pub struct WarmReport {
     /// Nodes pruned against the seeded incumbent before any better
     /// solution was found.
     pub nodes_pruned_by_seed: usize,
-    /// Multi-member spec clusters the aggregation pipeline formed.
-    pub spec_clusters: usize,
-    /// Reduced spec count the model was built over.
-    pub reduced_specs: usize,
-    /// Assignment variables the `Classes`-level model would have had.
-    pub agg_vars_full: usize,
-    /// Assignment variables of the reduced model actually built.
-    pub agg_vars_reduced: usize,
-    /// Servers the class builder excluded as unplanned-unavailable.
-    pub excluded_servers: usize,
-    /// Single-server transfers disaggregation's capacity repair made.
-    pub disagg_repair_moves: usize,
-    /// Units disaggregation assigned to the member whose servers
-    /// already run them (stays honored instead of reshuffled).
-    pub disagg_stays_honored: usize,
-    /// Extra servers disaggregation pulled from free class supply to
-    /// cover shortfall its internal repair could not fix.
-    pub disagg_topup_units: usize,
-    /// Residual RRU shortfall after disaggregation repair (0.0 = clean).
-    pub disagg_shortfall_rru: f64,
-    /// This round ran the exact-model ratchet (unreduced re-solve).
-    pub ratchet_checked: bool,
-    /// Aggregated-plan objective minus exact-plan objective (only
-    /// meaningful when `ratchet_checked`).
-    pub ratchet_gap: f64,
-    /// The ratchet found the aggregated plan within tolerance of the
-    /// exact plan and capacity-feasible.
-    pub ratchet_ok: bool,
 }
 
 /// Per-round state carried to the next solve.
@@ -279,22 +250,12 @@ impl SolveSession {
             snapshot,
             specs,
             params.phase1_granularity,
-            params.aggregation,
             filter_dyn,
         );
-        report.spec_clusters = reduction.stats.spec_clusters;
-        report.reduced_specs = reduction.stats.reduced_specs;
-        report.agg_vars_full = reduction.stats.vars_full;
-        report.agg_vars_reduced = reduction.stats.vars_reduced;
-        report.excluded_servers = reduction.stats.servers_excluded;
 
         // On any error below the cache stays dropped: a failed round
         // invalidates the session and the next round starts cold.
         let cache = self.cache.take();
-        // The diff runs over *reduced* class keys and labels: identical
-        // full specs + params imply an identical clustering (the pipeline
-        // is deterministic), so the reduced key space is stable whenever
-        // the full inputs are — warm starts survive aggregation.
         let skeleton_reusable = cache.as_ref().is_some_and(|c| {
             c.params == *params
                 && c.specs.as_slice() == specs
@@ -334,10 +295,9 @@ impl SolveSession {
                         }
                     }
                     c.ras.objective_constant = movement_constant(&reduction.classes, params);
-                    c.ras.initial = c.ras.incumbent_from_counts(&current_counts(
-                        &reduction.classes,
-                        reduction.specs.len(),
-                    ));
+                    c.ras.initial = c
+                        .ras
+                        .incumbent_from_counts(&current_counts(&reduction.classes, specs.len()));
                 }
                 (c.ras, Some((c.basis, c.var_names, c.row_names, c.targets)))
             }
@@ -346,7 +306,7 @@ impl SolveSession {
                 // previous basis and targets still warm-start the solve.
                 let ras = build_model_labeled(
                     region,
-                    &reduction.specs,
+                    specs,
                     &reduction.classes,
                     &reduction.labels,
                     params,
@@ -382,16 +342,13 @@ impl SolveSession {
             }
             // Previous targets, re-aggregated over the new classes (this
             // clamps away servers that left the fleet), become the seed
-            // incumbent. Full-space target ids map through the reduction
-            // into the model's (possibly clustered) spec space.
-            let mut counts = vec![vec![0usize; reduction.specs.len()]; reduction.classes.len()];
+            // incumbent.
+            let mut counts = vec![vec![0usize; specs.len()]; reduction.classes.len()];
             for (ci, class) in reduction.classes.iter().enumerate() {
                 for &s in &class.servers {
                     if let Some(r) = targets.get(s.index()).copied().flatten() {
-                        if let Some(g) = reduction.reduced_index(r) {
-                            if let Some(slot) = counts[ci].get_mut(g) {
-                                *slot += 1;
-                            }
+                        if let Some(slot) = counts[ci].get_mut(r.index()) {
+                            *slot += 1;
                         }
                     }
                 }
@@ -405,7 +362,7 @@ impl SolveSession {
         let warm = (!warm.is_empty()).then_some(warm);
         let result = solve_prepared(
             region,
-            &reduction.specs,
+            specs,
             &reduction.classes,
             &reduction.labels,
             &ras,
@@ -420,27 +377,11 @@ impl SolveSession {
         report.incumbent_seeded = result.solution.stats.incumbent_seeded;
         report.nodes_pruned_by_seed = result.solution.stats.nodes_pruned_by_seed;
 
-        // Backward map: split aggregate-spec counts over the member
-        // reservations (identity below `Clusters` — the counts pass
-        // through untouched, keeping that path byte-identical).
-        let disaggregated;
-        let counts_full: &[Vec<usize>] = if reduction.has_clusters() {
-            let (full, disagg) = reduction.disaggregate_counts(snapshot, specs, &result.counts);
-            report.disagg_repair_moves = disagg.repair_moves;
-            report.disagg_stays_honored = disagg.stays_honored;
-            report.disagg_topup_units = disagg.topup_units;
-            report.disagg_shortfall_rru = disagg.shortfall_rru;
-            disaggregated = full;
-            &disaggregated
-        } else {
-            &result.counts
-        };
-
         let targets1 = concretize(
             region,
             snapshot,
             &reduction.classes,
-            counts_full,
+            &result.counts,
             specs.len(),
         );
         let phase1 = make_stats(
@@ -450,38 +391,6 @@ impl SolveSession {
             &result,
         );
 
-        // Exact-model ratchet: every N rounds re-solve the unreduced
-        // (Classes-level) model and score both phase-1 plans with the
-        // term-exact evaluator — aggregation drift beyond the sharded
-        // tolerance marks the round's certificate dirty.
-        if params.aggregation == AggregationLevel::Clusters
-            && reduction.has_clusters()
-            && params.exact_ratchet_interval > 0
-            && self.rounds.is_multiple_of(params.exact_ratchet_interval)
-        {
-            report.ratchet_checked = true;
-            let mut exact_params = params.clone();
-            exact_params.aggregation = AggregationLevel::Classes;
-            match run_phase(
-                region,
-                specs,
-                snapshot,
-                &exact_params,
-                params.phase1_granularity,
-                false,
-                universe,
-            ) {
-                Ok((exact_targets, _)) => {
-                    let ours = evaluate_targets(region, specs, snapshot, params, &targets1);
-                    let exact = evaluate_targets(region, specs, snapshot, params, &exact_targets);
-                    report.ratchet_gap = ours.objective - exact.objective;
-                    report.ratchet_ok = report.ratchet_gap.abs()
-                        <= sharded_tolerance(2, params, exact.objective)
-                        && ours.capacity_feasible(params.mip_abs_gap + tol::PRIMAL_FEAS);
-                }
-                Err(_) => report.ratchet_ok = false,
-            }
-        }
         // Steady-state shortcut: when phase 1 lands exactly on the
         // previous round's *final* (post-phase-2) targets, last round's
         // rack refinement already mapped this assignment to itself, so

@@ -851,20 +851,6 @@ fn aggregate_warm(round: usize, shards: &[ShardReport]) -> WarmReport {
         phase2_skipped: all(|w| w.phase2_skipped),
         seed_repaired: any(|w| w.seed_repaired),
         nodes_pruned_by_seed: shards.iter().map(|s| s.warm.nodes_pruned_by_seed).sum(),
-        spec_clusters: shards.iter().map(|s| s.warm.spec_clusters).sum(),
-        reduced_specs: shards.iter().map(|s| s.warm.reduced_specs).sum(),
-        agg_vars_full: shards.iter().map(|s| s.warm.agg_vars_full).sum(),
-        agg_vars_reduced: shards.iter().map(|s| s.warm.agg_vars_reduced).sum(),
-        excluded_servers: shards.iter().map(|s| s.warm.excluded_servers).sum(),
-        disagg_repair_moves: shards.iter().map(|s| s.warm.disagg_repair_moves).sum(),
-        disagg_stays_honored: shards.iter().map(|s| s.warm.disagg_stays_honored).sum(),
-        disagg_topup_units: shards.iter().map(|s| s.warm.disagg_topup_units).sum(),
-        disagg_shortfall_rru: shards.iter().map(|s| s.warm.disagg_shortfall_rru).sum(),
-        ratchet_checked: any(|w| w.ratchet_checked),
-        ratchet_gap: shards.iter().map(|s| s.warm.ratchet_gap).sum(),
-        // The round's ratchet holds only if every shard that checked one
-        // passed; shards that skipped theirs this round don't vote.
-        ratchet_ok: all(|w| !w.ratchet_checked || w.ratchet_ok),
     }
 }
 
@@ -886,24 +872,7 @@ fn aggregate_phase1(shards: &[ShardReport], objective: f64, wall_seconds: f64) -
     let mut mip_stats = ras_milp::SolveStats::default();
     for s in shards {
         for p in std::iter::once(&s.phase1).chain(s.phase2.as_ref()) {
-            mip_stats.nodes += p.mip_stats.nodes;
-            mip_stats.simplex_iterations += p.mip_stats.simplex_iterations;
-            mip_stats.phase1_iterations += p.mip_stats.phase1_iterations;
-            mip_stats.dual_iterations += p.mip_stats.dual_iterations;
-            mip_stats.used_dual_simplex |= p.mip_stats.used_dual_simplex;
-            mip_stats.root_phase1_iterations += p.mip_stats.root_phase1_iterations;
-            mip_stats.root_used_dual_simplex |= p.mip_stats.root_used_dual_simplex;
-            mip_stats.lp_refactorizations += p.mip_stats.lp_refactorizations;
-            mip_stats.basis_updates += p.mip_stats.basis_updates;
-            mip_stats.refactors_interval += p.mip_stats.refactors_interval;
-            mip_stats.refactors_growth += p.mip_stats.refactors_growth;
-            mip_stats.refactors_accuracy += p.mip_stats.refactors_accuracy;
-            mip_stats.pricing_candidate_hits += p.mip_stats.pricing_candidate_hits;
-            mip_stats.pricing_full_rebuilds += p.mip_stats.pricing_full_rebuilds;
-            mip_stats.solve_seconds = p.mip_stats.solve_seconds.max(mip_stats.solve_seconds);
-            mip_stats.absolute_gap += p.mip_stats.absolute_gap;
-            mip_stats.hit_limit |= p.mip_stats.hit_limit;
-            mip_stats.nodes_pruned_by_seed += p.mip_stats.nodes_pruned_by_seed;
+            mip_stats.merge_counters(&p.mip_stats);
         }
     }
     mip_stats.warm_basis_accepted = shards
@@ -934,19 +903,13 @@ fn aggregate_phase1(shards: &[ShardReport], objective: f64, wall_seconds: f64) -
         },
         objective,
         reduction: {
-            // Size counters sum across the disjoint shard universes; the
-            // level is uniform (every shard solves with the same params).
-            let mut r = crate::aggregate::ReductionStats::default();
+            // Size counters sum across the disjoint shard universes.
+            let mut r = crate::classes::ReductionStats::default();
             for s in shards {
                 let p = &s.phase1.reduction;
-                r.level = p.level;
                 r.servers += p.servers;
                 r.servers_excluded += p.servers_excluded;
                 r.classes += p.classes;
-                r.full_specs += p.full_specs;
-                r.reduced_specs += p.reduced_specs;
-                r.spec_clusters += p.spec_clusters;
-                r.vars_full += p.vars_full;
                 r.vars_reduced += p.vars_reduced;
             }
             r

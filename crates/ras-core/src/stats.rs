@@ -3,7 +3,7 @@
 use ras_milp::{SolveStats, Status};
 use serde::{Deserialize, Serialize};
 
-use crate::aggregate::ReductionStats;
+use crate::classes::ReductionStats;
 
 /// Timing and size breakdown of one solver phase, matching the paper's
 /// four steps: RAS Build, Solver Build, Initial State, MIP (Figure 8).
@@ -35,8 +35,8 @@ pub struct PhaseStats {
     /// the model actually solved. A warm solve and a cold solve of the
     /// same round must agree on this within tolerance.
     pub objective: f64,
-    /// Size accounting of the aggregation pipeline's reduction for this
-    /// phase (reduction ratio, excluded servers, spec clusters).
+    /// Size accounting of this phase's class reduction (servers,
+    /// excluded servers, classes, assignment variables).
     pub reduction: ReductionStats,
 }
 

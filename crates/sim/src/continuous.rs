@@ -137,18 +137,6 @@ pub struct RoundReport {
     pub reconcile_released: usize,
     /// Wall-clock seconds of the sharded merge/reconcile pass.
     pub merge_seconds: f64,
-    /// Model-size reduction factor of the aggregation pipeline's spec
-    /// clustering (1.0 below `AggregationLevel::Clusters`).
-    pub reduction_ratio: f64,
-    /// Multi-member spec clusters formed this round.
-    pub spec_clusters: usize,
-    /// Single-server transfers disaggregation repair made this round.
-    pub disagg_repair_moves: usize,
-    /// This round ran the exact-model ratchet.
-    pub ratchet_checked: bool,
-    /// The ratchet (when checked) found the aggregated plan within
-    /// tolerance of the exact solve.
-    pub ratchet_ok: bool,
     /// Containers running at the end of the round (0 without a
     /// [`ContainerLoad`]).
     pub container_count: usize,
@@ -356,11 +344,6 @@ pub fn run_continuous(region: &Region, config: &ContinuousConfig) -> Vec<RoundRe
             shards,
             reconcile_released,
             merge_seconds,
-            reduction_ratio: output.phase1.reduction.reduction_ratio(),
-            spec_clusters: output.warm.spec_clusters,
-            disagg_repair_moves: output.warm.disagg_repair_moves,
-            ratchet_checked: output.warm.ratchet_checked,
-            ratchet_ok: output.warm.ratchet_ok,
             container_count,
             evac_moved,
             evac_lost,
@@ -485,52 +468,6 @@ mod tests {
                 r.warm
             );
         }
-    }
-
-    #[test]
-    fn clustered_rounds_certify_and_reduce() {
-        let region = region();
-        let config = ContinuousConfig {
-            rounds: 4,
-            churn_fraction: 0.02,
-            params: ras_core::SolverParams {
-                aggregation: ras_core::AggregationLevel::Clusters,
-                audit: ras_core::AuditMode::On,
-                exact_ratchet_interval: 2,
-                ..ras_core::SolverParams::default()
-            },
-            ..ContinuousConfig::default()
-        };
-        let reports = run_continuous(&region, &config);
-        for r in &reports {
-            assert!(
-                r.audit_certified && r.audit_violations == 0,
-                "round {} must certify clean under aggregation",
-                r.round
-            );
-            assert!(
-                r.spec_clusters >= 1,
-                "round {}: web+feed share a footprint and must cluster",
-                r.round
-            );
-            assert!(
-                r.reduction_ratio > 1.0,
-                "round {}: clustering must shrink the model (ratio {})",
-                r.round,
-                r.reduction_ratio
-            );
-            assert!(
-                !r.ratchet_checked || r.ratchet_ok,
-                "round {}: exact-model ratchet gap {} out of tolerance",
-                r.round,
-                r.warm.ratchet_gap
-            );
-            assert!(r.assigned > 0);
-        }
-        assert!(
-            reports.iter().any(|r| r.ratchet_checked),
-            "interval 2 over 4 rounds must run the ratchet"
-        );
     }
 
     #[test]

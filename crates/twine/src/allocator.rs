@@ -167,6 +167,18 @@ impl PlacementPolicyKind {
 /// leaving BestFit's core counts far from `i64` range.
 const SCORE_SCALE: f64 = 1e6;
 
+/// One evacuated container's fate (see
+/// [`TwineAllocator::evacuate_tracked`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Evacuee {
+    /// Job the container belongs to.
+    pub job: JobId,
+    /// The container's id before the evacuation.
+    pub container: ContainerId,
+    /// The id of its re-placed copy, or `None` when it was lost.
+    pub replaced_by: Option<ContainerId>,
+}
+
 /// A placed container.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 struct Placement {
@@ -458,30 +470,42 @@ impl TwineAllocator {
         broker: &mut ResourceBroker,
         server: ServerId,
     ) -> (usize, usize) {
+        let outcomes = self.evacuate_tracked(region, broker, server);
+        let moved = outcomes.iter().filter(|e| e.replaced_by.is_some()).count();
+        (moved, outcomes.len() - moved)
+    }
+
+    /// [`evacuate`](Self::evacuate), reporting each victim's fate.
+    /// Re-placement mints a fresh container id, so callers that track
+    /// containers by id (the scheduler's jobs) must follow the
+    /// `replaced_by` ids instead of the old ones.
+    pub fn evacuate_tracked(
+        &mut self,
+        region: &Region,
+        broker: &mut ResourceBroker,
+        server: ServerId,
+    ) -> Vec<Evacuee> {
         let victims: Vec<(ContainerId, Placement)> = self
             .containers
             .iter()
             .filter(|(_, p)| p.server == server)
             .map(|(id, p)| (*id, *p))
             .collect();
-        let mut moved = 0;
-        let mut lost = 0;
+        let mut outcomes = Vec::with_capacity(victims.len());
         for (id, p) in victims {
             self.containers.remove(&id);
             if let Some((c, m)) = self.free.get_mut(&server) {
                 *c += p.spec.cores;
                 *m += p.spec.memory_gib;
             }
-            let Some(job) = self.jobs.get(&p.job) else {
-                // Unknown job id (cannot happen through the public API):
-                // the container cannot be re-placed faithfully.
-                lost += 1;
-                continue;
-            };
-            let reservation = job.reservation;
-            let anti = job.rack_anti_affinity;
-            if self
-                .place_one(
+            // An unknown job id cannot happen through the public API; such
+            // a container cannot be re-placed faithfully and is lost.
+            let job = self
+                .jobs
+                .get(&p.job)
+                .map(|j| (j.reservation, j.rack_anti_affinity));
+            let replaced_by = job.and_then(|(reservation, anti)| {
+                self.place_one(
                     region,
                     broker,
                     reservation,
@@ -490,17 +514,17 @@ impl TwineAllocator {
                     p.job,
                     Some(server),
                 )
-                .is_some()
-            {
-                moved += 1;
-            } else {
-                lost += 1;
-            }
+            });
+            outcomes.push(Evacuee {
+                job: p.job,
+                container: id,
+                replaced_by,
+            });
         }
         // Re-sync the drained server's broker counter: every victim left,
         // and with the exclusion none can have landed back on it.
         let _ = broker.set_running_containers(server, cast::idx32(self.containers_on(server)));
-        (moved, lost)
+        outcomes
     }
 }
 

@@ -200,27 +200,37 @@ impl TwineScheduler {
     }
 
     /// Evacuates a server through the allocator and reconciles job
-    /// bookkeeping: containers the allocator could not re-place are
-    /// dropped from their jobs, which become `Degraded` so the next
-    /// [`TwineScheduler::process`] re-places them.
+    /// bookkeeping: re-placed containers keep their job slot under the
+    /// new id the allocator minted; containers it could not re-place
+    /// are dropped from their jobs, which become `Degraded` so the next
+    /// [`TwineScheduler::process`] re-places them. Returns `(moved,
+    /// lost)` counts.
     pub fn evacuate(
         &mut self,
         region: &Region,
         broker: &mut ResourceBroker,
         server: ras_topology::ServerId,
     ) -> (usize, usize) {
-        let (moved, lost) = self.allocator.evacuate(region, broker, server);
-        if lost > 0 {
-            let allocator = &self.allocator;
-            for entry in self.jobs.values_mut() {
-                let before = entry.containers.len();
-                entry.containers.retain(|c| allocator.contains(*c));
-                if entry.containers.len() < before && entry.state == JobState::Running {
-                    entry.state = JobState::Degraded;
+        let evacuees = self.allocator.evacuate_tracked(region, broker, server);
+        let moved = evacuees.iter().filter(|e| e.replaced_by.is_some()).count();
+        for e in &evacuees {
+            let Some(entry) = self.jobs.get_mut(&e.job) else {
+                continue;
+            };
+            let Some(pos) = entry.containers.iter().position(|c| *c == e.container) else {
+                continue;
+            };
+            match e.replaced_by {
+                Some(new) => entry.containers[pos] = new,
+                None => {
+                    entry.containers.remove(pos);
+                    if entry.state == JobState::Running {
+                        entry.state = JobState::Degraded;
+                    }
                 }
             }
         }
-        (moved, lost)
+        (moved, evacuees.len() - moved)
     }
 
     /// Current state of one job.
@@ -319,6 +329,18 @@ mod tests {
         let (region, mut broker, r) = setup();
         let mut sched = TwineScheduler::new();
         let id = sched.submit(&region, &mut broker, job(r, 5));
+        // Evacuation re-places containers under fresh ids; the job must
+        // follow them, or `stop` releases stale ids and leaks the moves.
+        let host = broker
+            .iter()
+            .find(|(_, rec)| rec.running_containers > 0)
+            .map(|(s, _)| s)
+            .expect("the job runs somewhere");
+        let (moved, lost) = sched.evacuate(&region, &mut broker, host);
+        assert!(moved > 0);
+        assert_eq!(lost, 0);
+        assert_eq!(sched.placed_replicas(id), 5);
+        assert_eq!(sched.state(id), Some(JobState::Running));
         sched.stop(&mut broker, id);
         assert_eq!(sched.state(id), Some(JobState::Stopped));
         assert_eq!(sched.allocator.container_count(), 0);

@@ -3,7 +3,8 @@
 //! The paper's deployment re-solves the region continuously (~every 30
 //! minutes) against inputs that drift by at most a few percent between
 //! rounds. This experiment quantifies what the warm-started
-//! [`ras_core::SolveSession`] buys in that regime: one session solves
+//! [`ras_core::SolveSession`] buys in that regime on its monolithic
+//! (one-shard) round: one session solves
 //! `RAS_FIG_CONTINUOUS_ROUNDS` (default 8) consecutive rounds with ≤ 2 %
 //! fleet churn per round, and every round's snapshot is *also* solved by
 //! a fresh cold session for comparison.

@@ -2,9 +2,10 @@
 //!
 //! The paper's region-wide allocator covers 10⁵–10⁶ servers across tens
 //! of MSBs and re-solves inside a ~15-minute budget. This experiment
-//! drives the POP-style sharded solve ([`ras_core::ShardedSession`])
-//! across region sizes up to a paper-scale fleet (4 DCs × 9 MSBs ×
-//! 104 400 servers) and checks the reproduction gates:
+//! drives the POP-style sharded solve (a [`ras_core::SolveSession`] with
+//! `params.shards > 1`) across region sizes up to a paper-scale fleet
+//! (4 DCs × 9 MSBs × 104 400 servers) against the monolithic solve (the
+//! same session type with one shard) and checks the reproduction gates:
 //!
 //! * every shard's phase certifies clean under [`ras_core::AuditMode::On`];
 //! * the merged plan satisfies every regional capacity constraint;
@@ -22,7 +23,7 @@ use std::time::Instant;
 
 use ras_bench::{fmt, Experiment};
 use ras_broker::{ResourceBroker, SimTime};
-use ras_core::{evaluate_targets, sharded_tolerance, AuditMode, ShardedSession, SolverParams};
+use ras_core::{evaluate_targets, sharded_tolerance, AuditMode, SolveSession, SolverParams};
 use ras_sim::continuous::portfolio;
 use ras_topology::{RegionBuilder, RegionTemplate};
 
@@ -93,7 +94,7 @@ fn main() {
         };
 
         let mono_start = Instant::now();
-        let (mono, _) = ShardedSession::new()
+        let (mono, _) = SolveSession::new()
             .solve_round(&region, &specs, &snapshot, &params)
             .expect("monolithic solve");
         let mono_seconds = mono_start.elapsed().as_secs_f64();
@@ -104,7 +105,7 @@ fn main() {
             ..params.clone()
         };
         let shard_start = Instant::now();
-        let (sharded, report) = ShardedSession::new()
+        let (sharded, report) = SolveSession::new()
             .solve_round(&region, &specs, &snapshot, &sharded_params)
             .expect("sharded solve");
         let shard_seconds = shard_start.elapsed().as_secs_f64();

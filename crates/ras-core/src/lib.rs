@@ -20,9 +20,10 @@
 //! * [`model`] — the MIP build (Expressions 1–7) with constraint softening;
 //! * [`assign`] — concretization of class counts into per-server targets;
 //! * [`phases`] — the two-phase solve orchestration;
-//! * [`session`] — the continuous warm-started solve session;
-//! * [`shard`] — POP-style sharded region solves (k warm sessions in
-//!   parallel plus a merge/reconcile pass);
+//! * [`session`] — the continuous warm-started solve session (one warm
+//!   cache per shard of its plan; a one-shard plan is the monolithic round);
+//! * [`shard`] — POP-style shard plans, capacity splits, and the
+//!   merge/reconcile pass of a sharded round;
 //! * [`solver`] — the Async Solver facade writing targets to the broker;
 //! * [`baseline`] — Twine's previous greedy assignment (evaluation baseline);
 //! * [`buffers`] — failure-buffer sizing and accounting;
@@ -57,6 +58,6 @@ pub use rru::RruTable;
 pub use session::{SolveSession, WarmReport};
 pub use shard::{
     evaluate_targets, sharded_tolerance, PlanScore, ReconcileReport, ShardPlan, ShardReport,
-    ShardedReport, ShardedSession,
+    ShardedReport,
 };
 pub use solver::{AsyncSolver, SolveOutput};

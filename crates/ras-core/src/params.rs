@@ -62,9 +62,10 @@ pub struct SolverParams {
     pub phase1_granularity: Granularity,
     /// Number of POP-style shards the region solve is partitioned into
     /// (1 = monolithic). Each shard is a set of whole MSB subtrees solved
-    /// concurrently on its own worker thread with its own warm session;
-    /// a cheap merge/reconcile pass recombines the plans. See
-    /// [`crate::shard`].
+    /// concurrently on its own worker thread with its own warm cache; a
+    /// cheap merge/reconcile pass recombines the plans. The count is an
+    /// upper bound: when no partition of two or more shards can carry the
+    /// specs, the round is the monolithic one. See [`crate::shard`].
     pub shards: usize,
     /// When the MIP auditor runs (static model audit before each solve,
     /// certificate checks after): [`AuditMode::Auto`] audits in debug

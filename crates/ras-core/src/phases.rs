@@ -39,17 +39,17 @@ pub struct TwoPhaseOutcome {
 /// Runs both phases and returns the merged target assignment.
 ///
 /// This is the stateless compatibility path: it spins up a one-shot
-/// [`SolveSession`] and runs a single cold round. Continuous callers
-/// (the [`crate::solver::AsyncSolver`], the sim's `continuous` scenario)
-/// keep the session alive instead, so each round warm-starts from the
-/// last.
+/// [`SolveSession`] and runs a single cold round (sharded when
+/// `params.shards > 1`). Continuous callers (the
+/// [`crate::solver::AsyncSolver`], the sim's `continuous` scenario) keep
+/// the session alive instead, so each round warm-starts from the last.
 pub fn solve_two_phase(
     region: &Region,
     specs: &[ReservationSpec],
     snapshot: &BrokerSnapshot,
     params: &SolverParams,
 ) -> Result<TwoPhaseOutcome, CoreError> {
-    let (outcome, _warm) = SolveSession::new().solve_round(region, specs, snapshot, params)?;
+    let (outcome, _report) = SolveSession::new().solve_round(region, specs, snapshot, params)?;
     Ok(outcome)
 }
 
@@ -181,8 +181,8 @@ pub(crate) struct PhaseSolveResult {
 
 /// Solves one already-built phase model, softening and retrying on
 /// infeasibility. This is the shared core under both the stateless
-/// [`run_phase`] and the warm-started [`SolveSession`] round: the session
-/// supplies a previous-round basis and seed incumbent (via
+/// [`run_phase`] and the warm-started [`SolveSession`] round body: the
+/// session supplies a previous-round basis and seed incumbent (via
 /// [`WarmStart`]), the stateless path supplies neither.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_prepared(
@@ -310,10 +310,7 @@ pub fn run_phase(
     universe: Option<&HashSet<ServerId>>,
 ) -> Result<(Vec<Option<ReservationId>>, PhaseStats), CoreError> {
     let phase_start = Instant::now();
-    let filter = universe.map(|u| {
-        let u = u.clone();
-        move |s: ServerId| u.contains(&s)
-    });
+    let filter = universe.map(|u| move |s: ServerId| u.contains(&s));
     let filter_dyn: Option<&dyn Fn(ServerId) -> bool> =
         filter.as_ref().map(|f| f as &dyn Fn(ServerId) -> bool);
 

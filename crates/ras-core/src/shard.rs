@@ -4,10 +4,12 @@
 //! The monolithic region MIP cannot reach the paper's 10⁵–10⁶-server
 //! scale on one thread. This module partitions the region into `k`
 //! near-independent subproblems along the fault-domain tree — each shard
-//! is a set of *whole MSB subtrees* — solves them concurrently on worker
-//! threads (each shard owns its own warm [`SolveSession`], so continuous
-//! rounds stay warm per shard), and recombines the per-shard plans with a
-//! cheap merge/reconcile pass.
+//! is a set of *whole MSB subtrees* — and recombines the per-shard plans
+//! with a cheap merge/reconcile pass. The [`crate::SolveSession`] owns
+//! the plan and solves the shards concurrently on worker threads, one
+//! warm cache per shard, so continuous rounds stay warm per shard. A plan
+//! of one shard is simply the monolithic problem: the session solves it
+//! as the monolithic round and none of the merge machinery runs.
 //!
 //! Why whole MSBs? Every intra-MSB structure of the model (per-MSB usage
 //! expressions, the `max_msb` buffer variable, rack groups) is then
@@ -38,12 +40,11 @@ use ras_broker::{BrokerSnapshot, ReservationId, UnavailabilityKind};
 use ras_topology::{MsbId, Region, ServerId};
 use serde::{Deserialize, Serialize};
 
-use crate::error::CoreError;
 use crate::model::solver_visible;
 use crate::params::SolverParams;
 use crate::phases::TwoPhaseOutcome;
 use crate::reservation::ReservationSpec;
-use crate::session::{SolveSession, WarmReport};
+use crate::session::WarmReport;
 use crate::stats::PhaseStats;
 use ras_milp::nan;
 use ras_milp::nan::NanGuard;
@@ -126,7 +127,7 @@ impl ShardPlan {
         self.shards.len()
     }
 
-    /// True for the degenerate single-shard plan.
+    /// True when the plan has no shards.
     pub fn is_empty(&self) -> bool {
         self.shards.is_empty()
     }
@@ -235,7 +236,7 @@ pub fn shard_specs(
 /// shard MIP still softens genuine edge cases — but it rejects the
 /// partitions that are infeasible *by construction* (too many shards for
 /// the fleet's buffering head-room), which is what drives the automatic
-/// shard-count reduction in [`ShardedSession`].
+/// shard-count reduction in [`plan_for`].
 // lint:allow(hot-path-index): per-MSB accumulators sized to the region MSB count
 fn plan_supports(
     specs: &[ReservationSpec],
@@ -516,316 +517,118 @@ pub struct ShardReport {
     pub phase1: PhaseStats,
     /// The shard's phase-2 statistics, when its refinement ran.
     pub phase2: Option<PhaseStats>,
-    /// The shard session's warm-start account.
+    /// The shard's warm-start account.
     pub warm: WarmReport,
 }
 
 /// Everything a sharded round did beyond the merged targets.
 #[derive(Debug, Clone, Default)]
 pub struct ShardedReport {
-    /// Per-shard solve reports (a single entry = monolithic delegation).
+    /// Per-shard solve reports (a single entry = the monolithic round).
     pub shards: Vec<ShardReport>,
-    /// Merge/reconcile accounting (default for monolithic delegation).
+    /// Merge/reconcile accounting (default for the monolithic round).
     pub reconcile: ReconcileReport,
-    /// The merged plan's regional score from [`evaluate_targets`].
+    /// The merged plan's regional score from [`evaluate_targets`]
+    /// (default for the monolithic round).
     pub score: PlanScore,
     /// Aggregate warm-start view across shards (AND for the reuse flags,
     /// sums for the counters).
     pub warm: WarmReport,
 }
 
-/// A continuous solve session over a sharded region.
-///
-/// With `params.shards <= 1` this is a thin wrapper around one
-/// [`SolveSession`] (byte-for-byte the monolithic behavior). With
-/// `k > 1` it owns `k` warm sessions, one per shard, and each
-/// [`solve_round`](Self::solve_round):
-///
-/// 1. solves every shard concurrently under `std::thread::scope`, each
-///    restricted to its server universe and its capacity slice;
-/// 2. merges the per-shard targets (disjoint universes — no conflicts);
-/// 3. reconciles: releases surplus acquisitions while the regional
-///    buffered capacity constraint keeps holding;
-/// 4. values the merged plan with [`evaluate_targets`] and reports it as
-///    the round's phase-1 objective.
-///
-/// Failure recovery matches [`SolveSession`]: any shard failing
-/// invalidates *every* shard session (and the round numbering) and
-/// surfaces [`CoreError::SessionInvalidated`]; the next round runs cold.
-#[derive(Debug, Clone, Default)]
-pub struct ShardedSession {
+/// The partition a session solves a region in: the largest `k' ≤ k`
+/// (`k' ≥ 2`) whose partition every shard can support (see
+/// [`plan_supports`]), with each shard's capacity slice. `None` is the
+/// one-shard plan — the whole region, always feasible — for `k ≤ 1` or
+/// when small regions or high utilization rule out every larger
+/// partition.
+pub(crate) fn plan_for(
+    region: &Region,
+    specs: &[ReservationSpec],
     k: usize,
-    region_fingerprint: (usize, usize),
-    plan: Option<ShardPlan>,
-    specs_key: Vec<ReservationSpec>,
-    shard_specs: Vec<Vec<ReservationSpec>>,
-    sessions: Vec<SolveSession>,
-    rounds: usize,
+) -> Option<(ShardPlan, Vec<Vec<ReservationSpec>>)> {
+    (2..=k.min(region.msbs().len())).rev().find_map(|k_try| {
+        let plan = ShardPlan::build(region, k_try);
+        if plan.shards.len() != k_try {
+            return None;
+        }
+        let split = shard_specs(region, specs, &plan);
+        let (raw, _) = shard_supplies(region, specs, &plan);
+        plan_supports(specs, &plan, &split, &raw).then_some((plan, split))
+    })
 }
 
-impl ShardedSession {
-    /// Creates an empty session; the first round is cold.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Rounds completed so far.
-    pub fn rounds(&self) -> usize {
-        self.rounds
-    }
-
-    /// True when any shard can warm-start its next round.
-    pub fn is_warm(&self) -> bool {
-        self.sessions.iter().any(|s| s.is_warm())
-    }
-
-    /// Drops every shard's cached state; the next round solves cold.
-    pub fn reset(&mut self) {
-        for s in &mut self.sessions {
-            s.reset();
+/// Combines the shard solves of one round of a plan with two or more
+/// shards:
+///
+/// 1. merges the per-shard targets (disjoint universes — no conflicts;
+///    servers outside every universe keep their current binding);
+/// 2. reconciles: releases surplus acquisitions while the regional
+///    buffered capacity constraint keeps holding;
+/// 3. values the merged plan with [`evaluate_targets`] and reports it as
+///    the round's phase-1 objective, with the shards' statistics
+///    aggregated around it.
+#[allow(clippy::too_many_arguments)]
+// lint:allow(hot-path-index): shard outcomes are zipped with plan.shards; targets span the fleet
+pub(crate) fn merge_round(
+    region: &Region,
+    specs: &[ReservationSpec],
+    snapshot: &BrokerSnapshot,
+    params: &SolverParams,
+    (plan, split): (&ShardPlan, &[Vec<ReservationSpec>]),
+    outcomes: Vec<(TwoPhaseOutcome, WarmReport)>,
+    round: usize,
+    round_start: Instant,
+) -> (TwoPhaseOutcome, ShardedReport) {
+    let merge_start = Instant::now();
+    let mut targets: Vec<Option<ReservationId>> =
+        snapshot.records.iter().map(|r| r.current).collect();
+    for (shard, (outcome, _)) in plan.shards.iter().zip(&outcomes) {
+        for s in &shard.servers {
+            targets[s.index()] = outcome.targets[s.index()];
         }
     }
+    let (released, released_rru) = reconcile(region, specs, snapshot, &mut targets);
+    let score = evaluate_targets(region, specs, snapshot, params, &targets);
+    let reconcile_report = ReconcileReport {
+        released,
+        released_rru,
+        merge_seconds: merge_start.elapsed().as_secs_f64(),
+    };
 
-    /// The current shard plan (absent before the first sharded round).
-    pub fn plan(&self) -> Option<&ShardPlan> {
-        self.plan.as_ref()
-    }
-
-    /// Re-partitions when the shard count, region, or specs changed.
-    ///
-    /// The requested `k` is an upper bound: the effective shard count is
-    /// the largest `k' ≤ k` whose partition every shard can support (see
-    /// [`plan_supports`]) — small regions or high utilization reduce it,
-    /// down to 1 in the limit (monolithic, always feasible). When the
-    /// re-derived partition is identical to the current one, the warm
-    /// per-shard sessions are kept.
-    fn ensure_plan(&mut self, region: &Region, specs: &[ReservationSpec], k: usize) {
-        let fingerprint = (region.server_count(), region.msbs().len());
-        if self.k == k
-            && self.region_fingerprint == fingerprint
-            && self.specs_key.as_slice() == specs
-            && self.plan.is_some()
-        {
-            return;
-        }
-        let mut chosen: Option<(ShardPlan, Vec<Vec<ReservationSpec>>)> = None;
-        for k_try in (2..=k.min(region.msbs().len().max(1))).rev() {
-            let plan = ShardPlan::build(region, k_try);
-            if plan.shards.len() != k_try {
-                continue;
-            }
-            let split = shard_specs(region, specs, &plan);
-            let (raw, _) = shard_supplies(region, specs, &plan);
-            if plan_supports(specs, &plan, &split, &raw) {
-                chosen = Some((plan, split));
-                break;
-            }
-        }
-        let (plan, split) = chosen.unwrap_or_else(|| {
-            let plan = ShardPlan::build(region, 1);
-            let split = shard_specs(region, specs, &plan);
-            (plan, split)
-        });
-        let same_partition = self.plan.as_ref().is_some_and(|old| {
-            old.shards.len() == plan.shards.len()
-                && old
-                    .shards
-                    .iter()
-                    .zip(&plan.shards)
-                    .all(|(a, b)| a.msbs == b.msbs)
-        });
-        if !same_partition {
-            self.sessions = vec![SolveSession::new(); plan.shards.len()];
-            self.rounds = 0;
-        }
-        self.k = k;
-        self.region_fingerprint = fingerprint;
-        self.plan = Some(plan);
-        self.shard_specs = split;
-        self.specs_key = specs.to_vec();
-    }
-
-    /// Runs one sharded continuous round. See the type docs for the
-    /// lifecycle and [`SolveSession::solve_round_scoped`] for the
-    /// failure-recovery contract.
-    // lint:allow(hot-path-index): shard results vector sized to plan.shards.len()
-    pub fn solve_round(
-        &mut self,
-        region: &Region,
-        specs: &[ReservationSpec],
-        snapshot: &BrokerSnapshot,
-        params: &SolverParams,
-    ) -> Result<(TwoPhaseOutcome, ShardedReport), CoreError> {
-        let k = params.shards.max(1).min(region.msbs().len().max(1));
-        if k <= 1 {
-            // Monolithic delegation: one full-universe session, untouched
-            // semantics.
-            if self.sessions.len() != 1 || self.k != 1 {
-                self.k = 1;
-                self.plan = None;
-                self.sessions = vec![SolveSession::new()];
-                self.rounds = 0;
-            }
-            let round = self.rounds;
-            let (outcome, warm) =
-                match self.sessions[0].solve_round(region, specs, snapshot, params) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        self.rounds = 0;
-                        return Err(e);
-                    }
-                };
-            self.rounds = round + 1;
-            let report = ShardedReport {
-                shards: vec![ShardReport {
-                    shard: 0,
-                    servers: region.server_count(),
-                    capacity: specs.iter().map(|s| s.capacity).collect(),
-                    phase1: outcome.phase1.clone(),
-                    phase2: outcome.phase2.clone(),
-                    warm: warm.clone(),
-                }],
-                reconcile: ReconcileReport::default(),
-                score: PlanScore::default(),
-                warm,
-            };
-            return Ok((outcome, report));
-        }
-
-        let round_start = Instant::now();
-        // Sample the recovery-contract state BEFORE re-planning: a spec
-        // or shard-count change may rebuild the partition (dropping warm
-        // state), and a failure in that very round must still tell the
-        // caller the session it entered warm was invalidated.
-        let warm_at_entry = self.rounds > 0 || self.is_warm();
-        let round = self.rounds;
-        self.ensure_plan(region, specs, k);
-        let mut shard_params = params.clone();
-        shard_params.shards = 1;
-
-        let Self {
-            plan,
-            shard_specs,
-            sessions,
-            ..
-        } = self;
-        let Some(plan) = plan.as_ref() else {
-            return Err(CoreError::Solver("shard plan missing after ensure".into()));
-        };
-
-        let results: Vec<Result<(TwoPhaseOutcome, WarmReport), CoreError>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = sessions
-                    .iter_mut()
-                    .zip(plan.shards.iter())
-                    .zip(shard_specs.iter())
-                    .map(|((session, shard), sspecs)| {
-                        let p = &shard_params;
-                        scope.spawn(move || {
-                            session.solve_round_scoped(
-                                region,
-                                sspecs,
-                                snapshot,
-                                p,
-                                Some(&shard.servers),
-                            )
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join().unwrap_or_else(|_| {
-                            Err(CoreError::Solver("shard worker thread panicked".into()))
-                        })
-                    })
-                    .collect()
-            });
-
-        if results.iter().any(|r| r.is_err()) {
-            // One failed shard invalidates the whole sharded session: the
-            // survivors' warm caches describe capacity slices the next
-            // (possibly re-planned) round may not reproduce.
-            for s in &mut self.sessions {
-                s.invalidate();
-            }
-            self.rounds = 0;
-            let cause = results
-                .into_iter()
-                .find_map(|r| r.err())
-                .unwrap_or_else(|| CoreError::Solver("shard round failed".into()));
-            // Unwrap nested invalidation wrappers from the failing shard;
-            // this level owns the caller-facing contract.
-            let cause = match cause {
-                CoreError::SessionInvalidated { cause, .. } => *cause,
-                other => other,
-            };
-            return Err(if warm_at_entry {
-                CoreError::SessionInvalidated {
-                    round,
-                    cause: Box::new(cause),
-                }
-            } else {
-                cause
-            });
-        }
-        let outcomes: Vec<(TwoPhaseOutcome, WarmReport)> =
-            results.into_iter().filter_map(|r| r.ok()).collect();
-
-        // Merge: every shard rules over its own (disjoint) universe;
-        // servers outside every universe keep their current binding.
-        let merge_start = Instant::now();
-        let mut targets: Vec<Option<ReservationId>> =
-            snapshot.records.iter().map(|r| r.current).collect();
-        for (shard, (outcome, _)) in plan.shards.iter().zip(&outcomes) {
-            for s in &shard.servers {
-                targets[s.index()] = outcome.targets[s.index()];
-            }
-        }
-        let (released, released_rru) = reconcile(region, specs, snapshot, &mut targets);
-        let score = evaluate_targets(region, specs, snapshot, params, &targets);
-        let reconcile_report = ReconcileReport {
-            released,
-            released_rru,
-            merge_seconds: merge_start.elapsed().as_secs_f64(),
-        };
-
-        let shard_reports: Vec<ShardReport> = plan
-            .shards
-            .iter()
-            .zip(&outcomes)
-            .zip(shard_specs.iter())
-            .map(|((shard, (outcome, warm)), sspecs)| ShardReport {
-                shard: shard.index,
-                servers: shard.servers.len(),
-                capacity: sspecs.iter().map(|s| s.capacity).collect(),
-                phase1: outcome.phase1.clone(),
-                phase2: outcome.phase2.clone(),
-                warm: warm.clone(),
-            })
-            .collect();
-        let warm = aggregate_warm(round, &shard_reports);
-        let phase1 = aggregate_phase1(
-            &shard_reports,
-            score.objective,
-            round_start.elapsed().as_secs_f64(),
-        );
-
-        self.rounds = round + 1;
-        Ok((
-            TwoPhaseOutcome {
-                targets,
-                phase1,
-                phase2: None,
-            },
-            ShardedReport {
-                shards: shard_reports,
-                reconcile: reconcile_report,
-                score,
-                warm,
-            },
-        ))
-    }
+    let shard_reports: Vec<ShardReport> = plan
+        .shards
+        .iter()
+        .zip(outcomes)
+        .zip(split)
+        .map(|((shard, (outcome, warm)), sspecs)| ShardReport {
+            shard: shard.index,
+            servers: shard.servers.len(),
+            capacity: sspecs.iter().map(|s| s.capacity).collect(),
+            phase1: outcome.phase1,
+            phase2: outcome.phase2,
+            warm,
+        })
+        .collect();
+    let warm = aggregate_warm(round, &shard_reports);
+    let phase1 = aggregate_phase1(
+        &shard_reports,
+        score.objective,
+        round_start.elapsed().as_secs_f64(),
+    );
+    (
+        TwoPhaseOutcome {
+            targets,
+            phase1,
+            phase2: None,
+        },
+        ShardedReport {
+            shards: shard_reports,
+            reconcile: reconcile_report,
+            score,
+            warm,
+        },
+    )
 }
 
 /// Folds per-shard warm reports into one session-level view: reuse flags
@@ -1029,7 +832,7 @@ mod tests {
             ..SolverParams::default()
         };
 
-        let mut session = ShardedSession::new();
+        let mut session = crate::SolveSession::new();
         let (outcome, report) = session
             .solve_round(&region, &specs, &snap, &params)
             .expect("sharded solve");

@@ -5,11 +5,11 @@
 //! broker. Runs off the critical path: the Online Mover materializes the
 //! targets asynchronously, and container placement never waits on it.
 //!
-//! The solver owns a [`ShardedSession`], so consecutive
+//! The solver owns a [`SolveSession`], so consecutive
 //! [`AsyncSolver::solve`] calls on the same instance are *continuous*:
 //! each round warm-starts from the previous one (cached model skeleton,
-//! root-LP basis, seeded incumbent — per shard when `params.shards > 1`).
-//! Drop or [`AsyncSolver::reset`] the solver to force a cold round.
+//! root-LP basis, seeded incumbent — per shard when the session's plan
+//! has more than one). Use a fresh solver for a cold round.
 
 use ras_broker::{BrokerSnapshot, ReservationId, ResourceBroker};
 use ras_topology::Region;
@@ -20,8 +20,8 @@ use crate::model::solver_visible;
 use crate::params::SolverParams;
 use crate::phases::TwoPhaseOutcome;
 use crate::reservation::ReservationSpec;
-use crate::session::WarmReport;
-use crate::shard::{ShardedReport, ShardedSession};
+use crate::session::{SolveSession, WarmReport};
+use crate::shard::ShardedReport;
 use crate::stats::PhaseStats;
 
 /// Output of one solve: targets plus full statistics.
@@ -38,8 +38,9 @@ pub struct SolveOutput {
     /// How the continuous session warm-started this round (aggregated
     /// across shards when the round was sharded).
     pub warm: WarmReport,
-    /// Per-shard reports when the round ran sharded (`params.shards > 1`);
-    /// `None` for a monolithic round. Audit certificates of a sharded
+    /// Per-shard reports when the round ran sharded (a plan of two or
+    /// more shards); `None` for a monolithic round, including a sharded
+    /// request that fell back to one shard. Audit certificates of a sharded
     /// round live here — the aggregate [`Self::phase1`] carries a default
     /// (uncertified) audit, use [`Self::audit_phases`] instead.
     pub sharded: Option<ShardedReport>,
@@ -108,8 +109,8 @@ impl SolveOutput {
 pub struct AsyncSolver {
     /// Cost coefficients and limits.
     pub params: SolverParams,
-    /// Warm-start state threaded between rounds (one session per shard).
-    session: ShardedSession,
+    /// Warm-start state threaded between rounds (one cache per shard).
+    session: SolveSession,
 }
 
 impl AsyncSolver {
@@ -117,23 +118,8 @@ impl AsyncSolver {
     pub fn new(params: SolverParams) -> Self {
         Self {
             params,
-            session: ShardedSession::new(),
+            session: SolveSession::new(),
         }
-    }
-
-    /// Number of rounds this solver has completed.
-    pub fn rounds(&self) -> usize {
-        self.session.rounds()
-    }
-
-    /// True when the next solve can warm-start from cached state.
-    pub fn is_warm(&self) -> bool {
-        self.session.is_warm()
-    }
-
-    /// Drops all cached warm-start state; the next solve runs cold.
-    pub fn reset(&mut self) {
-        self.session.reset();
     }
 
     /// Validates specs against the region (actionable rejections,

@@ -1,20 +1,22 @@
 //! Failed-round recovery and sharded-vs-monolithic differential tests.
 //!
-//! Recovery contract: a continuous round that fails mid-solve must leave
-//! the session *usable* — warm state and round numbering dropped, the
-//! error telling the caller the next round runs cold — and that next
-//! round must solve and certify exactly like a fresh session's round 0.
+//! Recovery contract: a continuous round that fails mid-solve, in any
+//! shard, must leave the session *usable* — every shard's warm state and
+//! the round numbering dropped, the error telling the caller the next
+//! round runs cold — and that next round must solve and certify exactly
+//! like a fresh session's round 0.
 //!
 //! Differential contract: a POP-style sharded solve of the same input
 //! must land within [`ras_core::sharded_tolerance`] of the monolithic
-//! objective, with both plans valued by the one regional evaluator.
+//! objective, with both plans valued by the one regional evaluator; a
+//! sharded request that falls back to one shard *is* the monolithic solve.
 
 use ras_broker::{ResourceBroker, SimTime};
 use ras_core::reservation::ReservationSpec;
 use ras_core::rru::RruTable;
-use ras_core::session::SolveSession;
 use ras_core::{
-    evaluate_targets, sharded_tolerance, AuditMode, CoreError, ShardedSession, SolverParams,
+    evaluate_targets, sharded_tolerance, AsyncSolver, AuditMode, CoreError, SolveSession,
+    SolverParams,
 };
 use ras_topology::{Region, RegionBuilder, RegionTemplate};
 
@@ -43,53 +45,86 @@ fn poisoned(mut specs: Vec<ReservationSpec>) -> Vec<ReservationSpec> {
     specs
 }
 
-#[test]
-fn failed_warm_round_invalidates_session_then_recovers_cold() {
+/// Runs a clean round 0, a poisoned round 1 and a recovery round on one
+/// session planned for `shards` shards, checking the recovery contract.
+fn warm_failure_invalidates_then_recovers_cold(shards: usize) {
     let region = region();
     let specs = portfolio(&region);
     let mut broker = ResourceBroker::new(region.server_count());
     broker.register_reservation("web");
     broker.register_reservation("feed");
     let snap = broker.snapshot(SimTime::ZERO);
-    let params = audited_params();
 
+    let params = SolverParams {
+        shards,
+        ..audited_params()
+    };
     let mut session = SolveSession::new();
-    let (_, warm0) = session
+    let (_, report0) = session
         .solve_round(&region, &specs, &snap, &params)
         .expect("round 0 solves");
-    assert_eq!(warm0.round, 0);
-    assert!(session.is_warm(), "round 0 must leave warm state behind");
+    assert_eq!(report0.warm.round, 0);
+    assert_eq!(report0.shards.len(), shards);
+    assert!(
+        session.is_warm(),
+        "shards={shards}: round 0 must leave warm state behind"
+    );
 
     // Round 1 fails mid-solve: the audited model rejects the poisoned
-    // spec. The session must report the invalidation explicitly.
+    // spec. The session must report the invalidation explicitly, even
+    // when only one shard failed.
     let err = session
         .solve_round(&region, &poisoned(specs.clone()), &snap, &params)
         .expect_err("poisoned round must fail");
     match &err {
         CoreError::SessionInvalidated { round, cause } => {
-            assert_eq!(*round, 1, "the failing round is round 1");
+            assert_eq!(*round, 1, "shards={shards}: the failing round is round 1");
             assert!(
                 matches!(**cause, CoreError::Solver(_)),
-                "cause must surface the solver failure, got {cause:?}"
+                "shards={shards}: cause must surface the solver failure, got {cause:?}"
             );
         }
-        other => panic!("expected SessionInvalidated, got {other:?}"),
+        other => panic!("shards={shards}: expected SessionInvalidated, got {other:?}"),
     }
-    assert!(!session.is_warm(), "warm state must be dropped");
-    assert_eq!(session.rounds(), 0, "round numbering must restart");
+    assert!(
+        !session.is_warm(),
+        "shards={shards}: every shard's warm state must be dropped"
+    );
+    assert_eq!(
+        session.rounds(),
+        0,
+        "shards={shards}: round numbering must restart"
+    );
 
-    // The session remains usable: the next round runs cold — round number
-    // 0, no model reuse — and still certifies clean under the auditor.
-    let (outcome, warm) = session
+    // The session remains usable: the next round runs cold — round
+    // number 0, no model reuse — and every shard still certifies clean
+    // under the auditor.
+    let (_, report) = session
         .solve_round(&region, &specs, &snap, &params)
         .expect("recovery round solves");
-    assert_eq!(warm.round, 0, "recovery round is a fresh round 0");
-    assert!(!warm.model_reused && !warm.warm_basis_supplied && !warm.seed_supplied);
+    assert_eq!(report.warm.round, 0, "recovery round is a fresh round 0");
     assert!(
-        outcome.phase1.mip_stats.audit.certified_clean(),
-        "recovery round must certify clean"
+        !report.warm.model_reused && !report.warm.warm_basis_supplied && !report.warm.seed_supplied
     );
+    assert_eq!(report.shards.len(), shards);
+    for shard in &report.shards {
+        assert!(
+            shard.phase1.mip_stats.audit.certified_clean(),
+            "shards={shards}: shard {} must certify clean after recovery",
+            shard.shard
+        );
+    }
     assert!(session.is_warm(), "and it re-arms the warm machinery");
+}
+
+#[test]
+fn failed_warm_round_invalidates_session_then_recovers_cold() {
+    warm_failure_invalidates_then_recovers_cold(1);
+}
+
+#[test]
+fn failed_sharded_round_invalidates_all_shards_then_recovers() {
+    warm_failure_invalidates_then_recovers_cold(3);
 }
 
 #[test]
@@ -102,62 +137,66 @@ fn failed_cold_round_returns_the_raw_error() {
 
     // A fresh session has no warm state to lose: the error passes through
     // unwrapped, exactly like the one-shot `solve_two_phase` path.
-    let mut session = SolveSession::new();
-    let err = session
-        .solve_round(
-            &region,
-            &poisoned(portfolio(&region)),
-            &snap,
-            &audited_params(),
-        )
-        .expect_err("poisoned cold round must fail");
-    assert!(
-        !matches!(err, CoreError::SessionInvalidated { .. }),
-        "cold failure must not claim an invalidated session: {err:?}"
-    );
+    for shards in [1usize, 3] {
+        let params = SolverParams {
+            shards,
+            ..audited_params()
+        };
+        let err = SolveSession::new()
+            .solve_round(&region, &poisoned(portfolio(&region)), &snap, &params)
+            .expect_err("poisoned cold round must fail");
+        assert!(
+            !matches!(err, CoreError::SessionInvalidated { .. }),
+            "shards={shards}: cold failure must not claim an invalidated session: {err:?}"
+        );
+    }
 }
 
+/// A sharded request no partition of two or more shards can carry falls
+/// back to one shard, and a one-shard plan is the monolithic round: same
+/// targets, same MIP objective, the same phase 2, every phase certified.
 #[test]
-fn failed_sharded_round_invalidates_all_shards_then_recovers() {
+fn sharded_request_falling_back_to_one_shard_is_the_monolithic_round() {
     let region = region();
-    let specs = portfolio(&region);
+    let rru = RruTable::uniform(&region.catalog, 1.0);
+    let specs = vec![
+        ReservationSpec::guaranteed("web", 150.0, rru.clone()),
+        ReservationSpec::guaranteed("feed", 100.0, rru),
+    ];
     let mut broker = ResourceBroker::new(region.server_count());
     broker.register_reservation("web");
     broker.register_reservation("feed");
     let snap = broker.snapshot(SimTime::ZERO);
-    let params = SolverParams {
-        shards: 3,
-        ..audited_params()
+    let solve = |shards: usize| {
+        let params = SolverParams {
+            shards,
+            ..audited_params()
+        };
+        AsyncSolver::new(params)
+            .solve(&region, &specs, &snap)
+            .expect("solve")
     };
 
-    let mut session = ShardedSession::new();
-    session
-        .solve_round(&region, &specs, &snap, &params)
-        .expect("sharded round 0 solves");
-    assert!(session.is_warm());
-
-    let err = session
-        .solve_round(&region, &poisoned(specs.clone()), &snap, &params)
-        .expect_err("poisoned sharded round must fail");
-    assert!(
-        matches!(err, CoreError::SessionInvalidated { round: 1, .. }),
-        "one failing shard invalidates the whole sharded session: {err:?}"
-    );
-    assert!(!session.is_warm(), "every shard's warm state is dropped");
-    assert_eq!(session.rounds(), 0);
-
-    let (_, report) = session
-        .solve_round(&region, &specs, &snap, &params)
-        .expect("sharded recovery round solves");
-    assert_eq!(report.warm.round, 0, "recovery is a fresh round 0");
-    assert!(!report.warm.model_reused);
-    for shard in &report.shards {
-        assert!(
-            shard.phase1.mip_stats.audit.certified_clean(),
-            "shard {} must certify clean after recovery",
-            shard.shard
-        );
+    let mono = solve(1);
+    let fallback = solve(2);
+    for (name, out) in [("monolithic", &mono), ("fallback", &fallback)] {
+        assert!(out.sharded.is_none(), "{name}: one shard is not sharded");
+        for phase in out.audit_phases() {
+            assert!(
+                phase.mip_stats.audit.certified_clean(),
+                "{name}: phase not certified clean"
+            );
+        }
     }
+    assert_eq!(fallback.phase2.is_some(), mono.phase2.is_some());
+    assert_eq!(fallback.targets, mono.targets);
+    assert_eq!(
+        fallback.phase1.objective.to_bits(),
+        mono.phase1.objective.to_bits(),
+        "fallback {} vs monolithic {}",
+        fallback.phase1.objective,
+        mono.phase1.objective
+    );
 }
 
 #[test]
@@ -170,7 +209,7 @@ fn sharded_solve_matches_monolithic_within_documented_tolerance() {
     let snap = broker.snapshot(SimTime::ZERO);
     let params = SolverParams::default();
 
-    let (mono, _) = ShardedSession::new()
+    let (mono, _) = SolveSession::new()
         .solve_round(&region, &specs, &snap, &params)
         .expect("monolithic solve");
     let mono_score = evaluate_targets(&region, &specs, &snap, &params, &mono.targets);
@@ -181,7 +220,7 @@ fn sharded_solve_matches_monolithic_within_documented_tolerance() {
             shards: k,
             ..params.clone()
         };
-        let (sharded, report) = ShardedSession::new()
+        let (sharded, report) = SolveSession::new()
             .solve_round(&region, &specs, &snap, &sharded_params)
             .expect("sharded solve");
         assert_eq!(report.shards.len(), k);

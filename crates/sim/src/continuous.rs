@@ -4,7 +4,9 @@
 //! an input that drifts only slightly between rounds (a few servers fail
 //! or return, the occasional spec edit). This scenario reproduces that
 //! regime: one [`AsyncSolver`] (and therefore one warm
-//! [`ras_core::SolveSession`]) solves `rounds` consecutive rounds, each
+//! [`ras_core::SolveSession`], one cache per shard of its plan — a single
+//! whole-region cache at the default `shards = 1`) solves `rounds`
+//! consecutive rounds, each
 //! round applying the plan, materializing the moves, and then churning a
 //! small fraction of the fleet — servers go down with unplanned hardware
 //! failures and the previous round's victims come back up.

@@ -54,7 +54,7 @@ fn main() {
             rel_gap_tol: params.mip_rel_gap,
             abs_gap_tol: params.mip_abs_gap,
             stall_node_limit: params.stall_node_limit,
-            initial_incumbent: Some(warm.clone()),
+            incumbents: vec![warm.clone()],
             ..SolveConfig::default()
         })
         .expect("mip solve");

@@ -60,28 +60,12 @@ fn main() {
         // when the region cannot fully satisfy the requests (the paper's
         // 99 %-optimal-up-to-softened-constraints bucket exists *because*
         // production solves are often softened). The warm incumbent is
-        // the better of {current assignment, greedy construction}, as in
-        // `run_phase`.
-        let best_warm = |ras: &ras_core::model::RasModel| -> Vec<f64> {
-            let current = ras.initial.clone();
-            let greedy = ras.incumbent_from_counts(&greedy_counts(
-                &inst.region,
-                &inst.specs,
-                &classes,
-                &inst.params,
-            ));
-            let score = |v: &Vec<f64>| -> Option<f64> {
-                ras.model
-                    .violations(v, 1e-6)
-                    .is_empty()
-                    .then(|| ras.model.objective().eval(v))
-            };
-            match (score(&current), score(&greedy)) {
-                (Some(a), Some(b)) if b < a => greedy,
-                (Some(_), _) => current,
-                (None, Some(_)) => greedy,
-                (None, None) => current,
-            }
+        // the cheaper valid one of {current assignment, greedy
+        // construction}, as in `run_phase`: both go to branch-and-bound,
+        // which picks.
+        let candidates = |ras: &ras_core::model::RasModel| -> Vec<Vec<f64>> {
+            let greedy = greedy_counts(&inst.region, &inst.specs, &classes, &inst.params);
+            vec![ras.initial.clone(), ras.incumbent_from_counts(&greedy)]
         };
         let mut ras = build_model(
             &inst.region,
@@ -92,7 +76,7 @@ fn main() {
             None,
         );
         let mut cfg = config.clone();
-        cfg.initial_incumbent = Some(best_warm(&ras));
+        cfg.incumbents = candidates(&ras);
         let mut result = ras.model.solve_with(&cfg);
         if matches!(
             result,
@@ -107,7 +91,7 @@ fn main() {
                 false,
                 Some(&baseline),
             );
-            cfg.initial_incumbent = Some(best_warm(&ras));
+            cfg.incumbents = candidates(&ras);
             result = ras.model.solve_with(&cfg);
         }
         match result {

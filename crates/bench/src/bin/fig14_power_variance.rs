@@ -11,8 +11,7 @@ use std::collections::HashSet;
 use ras_bench::{fmt, Experiment};
 use ras_broker::{ResourceBroker, SimTime};
 use ras_core::baseline::GreedyAllocator;
-use ras_core::classes::Granularity;
-use ras_core::phases::run_phase;
+use ras_core::phases::{run_phase, Phase};
 use ras_core::reservation::{ReservationKind, ReservationSpec};
 use ras_core::rru::RruTable;
 use ras_core::SolverParams;
@@ -92,8 +91,7 @@ fn main() {
             &specs2,
             &snapshot,
             &params,
-            Granularity::Msb,
-            false,
+            Phase::One,
             Some(&universe),
         ) {
             Ok((targets, _)) => {

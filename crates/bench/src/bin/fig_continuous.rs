@@ -3,15 +3,15 @@
 //! The paper's deployment re-solves the region continuously (~every 30
 //! minutes) against inputs that drift by at most a few percent between
 //! rounds. This experiment quantifies what the warm-started
-//! [`ras_core::SolveSession`] buys in that regime on its monolithic
-//! (one-shard) round: one session solves
-//! `RAS_FIG_CONTINUOUS_ROUNDS` (default 8) consecutive rounds with ≤ 2 %
-//! fleet churn per round, and every round's snapshot is *also* solved by
-//! a fresh cold session for comparison.
+//! [`ras_core::AsyncSolver`] buys in that regime on its monolithic
+//! (one-shard) round: one solver solves `RAS_FIG_CONTINUOUS_ROUNDS`
+//! (default 8) consecutive rounds with ≤ 2 % fleet churn per round, and
+//! every round's snapshot is *also* solved by a fresh cold solver for
+//! comparison.
 //!
 //! Reproduction criteria: warm rounds average ≥ 2× faster than the cold
 //! solve of the same input, the warm basis is accepted and the incumbent
-//! seed installed once the session settles, and warm/cold agree on
+//! seed installed once the solver settles, and warm/cold agree on
 //! status and phase-1 objective within the MIP gap tolerance.
 //!
 //! The run forces [`ras_core::AuditMode::On`], so even this release

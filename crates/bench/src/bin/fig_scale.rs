@@ -2,10 +2,10 @@
 //!
 //! The paper's region-wide allocator covers 10⁵–10⁶ servers across tens
 //! of MSBs and re-solves inside a ~15-minute budget. This experiment
-//! drives the POP-style sharded solve (a [`ras_core::SolveSession`] with
-//! `params.shards > 1`) across region sizes up to a paper-scale fleet
-//! (4 DCs × 9 MSBs × 104 400 servers) against the monolithic solve (the
-//! same session type with one shard) and checks the reproduction gates:
+//! drives the POP-style sharded solve (a fresh [`ras_core::AsyncSolver`]
+//! with `params.shards > 1`) across region sizes up to a paper-scale
+//! fleet (4 DCs × 9 MSBs × 104 400 servers) against the monolithic solve
+//! (a fresh solver with one shard) and checks the reproduction gates:
 //!
 //! * every shard's phase certifies clean under [`ras_core::AuditMode::On`];
 //! * the merged plan satisfies every regional capacity constraint;
@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use ras_bench::{fmt, Experiment};
 use ras_broker::{ResourceBroker, SimTime};
-use ras_core::{evaluate_targets, sharded_tolerance, AuditMode, SolveSession, SolverParams};
+use ras_core::{evaluate_targets, sharded_tolerance, AsyncSolver, AuditMode, SolverParams};
 use ras_sim::continuous::portfolio;
 use ras_topology::{RegionBuilder, RegionTemplate};
 
@@ -94,8 +94,8 @@ fn main() {
         };
 
         let mono_start = Instant::now();
-        let (mono, _) = SolveSession::new()
-            .solve_round(&region, &specs, &snapshot, &params)
+        let mono = AsyncSolver::new(params.clone())
+            .solve(&region, &specs, &snapshot)
             .expect("monolithic solve");
         let mono_seconds = mono_start.elapsed().as_secs_f64();
         let mono_score = evaluate_targets(&region, &specs, &snapshot, &params, &mono.targets);
@@ -105,17 +105,20 @@ fn main() {
             ..params.clone()
         };
         let shard_start = Instant::now();
-        let (sharded, report) = SolveSession::new()
-            .solve_round(&region, &specs, &snapshot, &sharded_params)
+        let sharded = AsyncSolver::new(sharded_params)
+            .solve(&region, &specs, &snapshot)
             .expect("sharded solve");
         let shard_seconds = shard_start.elapsed().as_secs_f64();
         let score = evaluate_targets(&region, &specs, &snapshot, &params, &sharded.targets);
 
-        let k = report.shards.len();
-        let certified = report
-            .shards
+        // A request no partition can carry falls back to the one-shard
+        // (monolithic) round, which has no sharded report.
+        let report = sharded.sharded.as_ref();
+        let k = report.map_or(1, |r| r.shards.len());
+        let certified = sharded
+            .audit_phases()
             .iter()
-            .all(|s| s.phase1.mip_stats.audit.certified_clean());
+            .all(|p| p.mip_stats.audit.certified_clean());
         let tol = sharded_tolerance(k, &params, mono_score.objective);
         let within_tol = (score.objective - mono_score.objective).abs() <= tol;
         let feasible = score.capacity_feasible(1e-6);
@@ -132,7 +135,7 @@ fn main() {
             fmt(mono_score.objective, 2),
             fmt(score.objective, 2),
             fmt(tol, 2),
-            report.reconcile.released.to_string(),
+            report.map_or(0, |r| r.reconcile.released).to_string(),
             (if certified { "yes" } else { "NO" }).to_string(),
         ]);
 

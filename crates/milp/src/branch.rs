@@ -91,10 +91,7 @@ impl BranchAndBound {
         // corrupt the standard-form build below, so it must never get
         // there. Flags are carried through into the final stats.
         let audit_on = self.config.audit.enabled();
-        let audit_cfg = AuditConfig {
-            int_tol: self.config.int_tol,
-            ..AuditConfig::default()
-        };
+        let audit_cfg = AuditConfig::default();
         let mut audit = AuditReport::default();
         if audit_on {
             audit.model_checked = true;
@@ -121,7 +118,6 @@ impl BranchAndBound {
             .map(|(i, _)| i)
             .collect();
         let lp_config = SimplexConfig {
-            max_iterations: self.config.max_lp_iterations,
             deadline: Some(
                 start + std::time::Duration::from_secs_f64(self.config.time_limit_seconds),
             ),
@@ -165,12 +161,13 @@ impl BranchAndBound {
         // long-step dual simplex, which earns its keep here, where a
         // round's bound patch moves many bounds at once; node and dive
         // re-solves below change one bound and use `solve_lp_node`.
-        let warm_basis = self
-            .config
-            .warm_start
-            .as_ref()
-            .and_then(|w| w.basis.as_ref());
-        let root = solve_lp_warm(&sf, &root_lower, &root_upper, &root_config, warm_basis);
+        let root = solve_lp_warm(
+            &sf,
+            &root_lower,
+            &root_upper,
+            &root_config,
+            self.config.warm_basis.as_ref(),
+        );
         stats.root_lp_seconds = root_start.elapsed().as_secs_f64();
         stats.warm_basis_accepted = root.warm_basis_used;
         stats.root_phase1_iterations = root.phase1_iterations;
@@ -207,12 +204,8 @@ impl BranchAndBound {
         // True while the incumbent is still a supplied seed (not something
         // the search found); prunes against it count as seed payoff.
         let mut incumbent_is_seed = false;
-        let warm_incumbent = self
-            .config
-            .warm_start
-            .as_ref()
-            .and_then(|w| w.incumbent.as_ref());
-        for init in self.config.initial_incumbent.iter().chain(warm_incumbent) {
+        // The cheapest valid candidate is installed; the first wins ties.
+        for init in &self.config.incumbents {
             if init.len() == model.num_vars() && model.violations(init, tol::PRIMAL_FEAS).is_empty()
             {
                 let mut values = init.clone();
@@ -395,7 +388,7 @@ impl BranchAndBound {
                 }
             }
             let node = &nodes[entry.index];
-            match crate::branching::select(&lp.values, &int_vars, self.config.int_tol, &pseudo) {
+            match crate::branching::select(&lp.values, &int_vars, tol::PRIMAL_FEAS, &pseudo) {
                 None => {
                     let (obj, values) = self.snap(model, &lp, &int_vars);
                     if incumbent.as_ref().is_none_or(|(io, _)| obj < *io) {
@@ -504,7 +497,7 @@ impl BranchAndBound {
         for &j in int_vars {
             let v = values[j];
             let frac = (v - v.round()).abs();
-            if frac > self.config.int_tol {
+            if frac > tol::PRIMAL_FEAS {
                 let dist = (v - v.floor() - 0.5).abs(); // 0 = most fractional
                 match best {
                     Some((_, bd)) if dist >= bd => {}
@@ -566,7 +559,7 @@ impl BranchAndBound {
                     for &j in int_vars {
                         let v = current.values[j];
                         let frac = (v - v.round()).abs();
-                        if frac <= self.config.int_tol {
+                        if frac <= tol::PRIMAL_FEAS {
                             lower[j] = v.round();
                             upper[j] = v.round();
                         } else {

@@ -76,4 +76,4 @@ pub use expr::{LinExpr, Var};
 pub use localsearch::LocalSearch;
 pub use model::{Constraint, Model, Sense, VarType};
 pub use simplex::{Basis, BasisStats, PricingStats};
-pub use solution::{Solution, SolveConfig, SolveError, SolveStats, Status, WarmStart};
+pub use solution::{Solution, SolveConfig, SolveError, SolveStats, Status};

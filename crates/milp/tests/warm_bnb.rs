@@ -58,7 +58,7 @@ fn heuristics_and_incumbents_never_change_the_optimum() {
                 // Feed the optimum back as a warm incumbent: still the same.
                 let warm = model
                     .solve_with(&SolveConfig {
-                        initial_incumbent: Some(b.values.clone()),
+                        incumbents: vec![b.values.clone()],
                         ..SolveConfig::default()
                     })
                     .expect("warm solve");
@@ -93,7 +93,7 @@ fn invalid_incumbents_are_ignored() {
     // An incumbent that violates the constraint must be discarded.
     let s = m
         .solve_with(&SolveConfig {
-            initial_incumbent: Some(vec![10.0]),
+            incumbents: vec![vec![10.0]],
             ..SolveConfig::default()
         })
         .unwrap();
@@ -101,7 +101,7 @@ fn invalid_incumbents_are_ignored() {
     // An incumbent of the wrong arity must be discarded too.
     let s = m
         .solve_with(&SolveConfig {
-            initial_incumbent: Some(vec![1.0, 2.0, 3.0]),
+            incumbents: vec![vec![1.0, 2.0, 3.0]],
             ..SolveConfig::default()
         })
         .unwrap();
@@ -117,9 +117,49 @@ fn suboptimal_incumbent_is_improved_upon() {
     // x = 2 is feasible but poor; the solver must still reach x = 8.
     let s = m
         .solve_with(&SolveConfig {
-            initial_incumbent: Some(vec![2.0]),
+            incumbents: vec![vec![2.0]],
             ..SolveConfig::default()
         })
         .unwrap();
     assert_eq!(s.int_value(x), 8);
+}
+
+#[test]
+fn cheapest_valid_candidate_is_installed() {
+    // The root relaxation is fractional (x + z = 3.5) and the node
+    // budget is zero, so the solve returns exactly the incumbent it
+    // installed. `y` has no cost: it only tells tied candidates apart.
+    let mut m = Model::new();
+    let x = m.add_var("x", VarType::Integer, 0.0, 10.0);
+    let z = m.add_var("z", VarType::Integer, 0.0, 10.0);
+    let y = m.add_var("y", VarType::Integer, 0.0, 1.0);
+    m.add_constraint("c", 2.0 * x + 2.0 * z, Sense::Le, 7.0);
+    m.set_objective(-1.0 * x - 1.0 * z);
+    let installed = |incumbents: Vec<Vec<f64>>| {
+        let s = m
+            .solve_with(&SolveConfig {
+                incumbents,
+                max_nodes: 0,
+                use_heuristics: false,
+                ..SolveConfig::default()
+            })
+            .unwrap();
+        assert!(s.stats.incumbent_seeded);
+        (s.int_value(x), s.int_value(y))
+    };
+    // Of two valid candidates, the cheaper second one is installed.
+    assert_eq!(
+        installed(vec![vec![1.0, 0.0, 0.0], vec![2.0, 0.0, 0.0]]),
+        (2, 0)
+    );
+    // An invalid cheaper candidate does not displace a valid one.
+    assert_eq!(
+        installed(vec![vec![2.0, 0.0, 0.0], vec![5.0, 0.0, 0.0]]),
+        (2, 0)
+    );
+    // On a tie the first candidate wins.
+    assert_eq!(
+        installed(vec![vec![2.0, 0.0, 1.0], vec![2.0, 0.0, 0.0]]),
+        (2, 1)
+    );
 }

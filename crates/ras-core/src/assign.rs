@@ -8,7 +8,8 @@
 //!    where the reservation currently has the least capacity, which
 //!    realizes the rack spread that phase 1 never saw.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 use ras_broker::{BrokerSnapshot, ReservationId};
 use ras_topology::{Region, ServerId};
@@ -61,34 +62,51 @@ pub fn concretize(
                 _ => unclaimed.push(s),
             }
         }
-        // Pass 2: fill remaining demand, preferring least-loaded racks.
+        if need.iter().all(|n| *n == 0) {
+            continue;
+        }
+        // Pass 2: fill remaining demand, each slot taking the unclaimed
+        // member with the least-loaded rack (lowest server index on ties).
+        // Members of one rack share its load, so only each rack's
+        // lowest-index member can win: racks are buckets sorted by index,
+        // consumed from the front, and a min-heap over the bucket fronts
+        // keyed `(rack load, server index)` makes each pick logarithmic.
+        unclaimed.sort_unstable_by_key(|s| (region.server(*s).rack.0, s.index()));
+        let mut buckets: Vec<(u32, &[ServerId])> = unclaimed
+            .chunk_by(|a, b| region.server(*a).rack == region.server(*b).rack)
+            .map(|members| (region.server(members[0]).rack.0, members))
+            .collect();
         for (ri, need) in need.into_iter().enumerate() {
             if need == 0 {
                 continue;
             }
             let res = ReservationId::from_index(ri);
+            let r = cast::idx32(ri);
+            // Heap entries: (rack load, front server index, bucket).
+            let mut heap: BinaryHeap<Reverse<(usize, usize, usize)>> = buckets
+                .iter()
+                .enumerate()
+                .filter_map(|(b, (rack, members))| {
+                    let load = rack_load.get(&(*rack, r)).copied().unwrap_or(0);
+                    Some(Reverse((load, members.first()?.index(), b)))
+                })
+                .collect();
             for _ in 0..need {
-                let Some(best_pos) = unclaimed
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, s)| {
-                        let rack = region.server(**s).rack.0;
-                        (
-                            rack_load
-                                .get(&(rack, cast::idx32(ri)))
-                                .copied()
-                                .unwrap_or(0),
-                            s.index(),
-                        )
-                    })
-                    .map(|(pos, _)| pos)
-                else {
+                let Some(Reverse((load, _, b))) = heap.pop() else {
                     break;
                 };
-                let s = unclaimed.swap_remove(best_pos);
+                let Some((rack, members)) = buckets.get_mut(b) else {
+                    break;
+                };
+                let Some((&s, rest)) = members.split_first() else {
+                    break;
+                };
+                *members = rest;
                 targets[s.index()] = Some(res);
-                let rack = region.server(s).rack.0;
-                *rack_load.entry((rack, cast::idx32(ri))).or_default() += 1;
+                *rack_load.entry((*rack, r)).or_default() += 1;
+                if let Some(next) = rest.first() {
+                    heap.push(Reverse((load + 1, next.index(), b)));
+                }
             }
         }
         // Whatever is left becomes free-pool capacity (target None).
@@ -237,6 +255,115 @@ mod tests {
                 max - min <= 1,
                 "round-robin rack spread expected: {per_rack:?}"
             );
+        }
+    }
+
+    /// The quadratic scan pass 2 used to run: each slot takes the
+    /// unclaimed member minimizing `(rack load, server index)`. Kept as
+    /// the reference the bucketed heap must reproduce pick for pick.
+    fn concretize_reference(
+        region: &Region,
+        snapshot: &BrokerSnapshot,
+        classes: &[EquivClass],
+        counts: &[Vec<usize>],
+        reservations: usize,
+    ) -> Vec<Option<ReservationId>> {
+        let mut targets: Vec<Option<ReservationId>> =
+            snapshot.records.iter().map(|r| r.current).collect();
+        let mut rack_load: HashMap<(u32, u32), usize> = HashMap::new();
+        for server in region.servers() {
+            if let Some(r) = snapshot.records[server.id.index()].current {
+                *rack_load.entry((server.rack.0, r.0)).or_default() += 1;
+            }
+        }
+        for (ci, class) in classes.iter().enumerate() {
+            for s in &class.servers {
+                targets[s.index()] = None;
+            }
+            let mut need: Vec<usize> = (0..reservations)
+                .map(|ri| counts[ci].get(ri).copied().unwrap_or(0).min(class.count()))
+                .collect();
+            let mut unclaimed = Vec::new();
+            for &s in &class.servers {
+                match snapshot.records[s.index()].current {
+                    Some(cur) if need.get(cur.index()).copied().unwrap_or(0) > 0 => {
+                        need[cur.index()] -= 1;
+                        targets[s.index()] = Some(cur);
+                    }
+                    _ => unclaimed.push(s),
+                }
+            }
+            for (ri, need) in need.into_iter().enumerate() {
+                let r = cast::idx32(ri);
+                for _ in 0..need {
+                    let Some(pos) = unclaimed
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, s)| {
+                            let rack = region.server(**s).rack.0;
+                            (rack_load.get(&(rack, r)).copied().unwrap_or(0), s.index())
+                        })
+                        .map(|(pos, _)| pos)
+                    else {
+                        break;
+                    };
+                    let s = unclaimed.swap_remove(pos);
+                    targets[s.index()] = Some(ReservationId::from_index(ri));
+                    *rack_load.entry((region.server(s).rack.0, r)).or_default() += 1;
+                }
+            }
+        }
+        targets
+    }
+
+    #[test]
+    fn bucketed_fill_matches_the_reference_scan() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for (template, cases) in [(RegionTemplate::tiny(), 24), (RegionTemplate::medium(), 6)] {
+            let region = RegionBuilder::new(template, 42).build();
+            let mut rng = StdRng::seed_from_u64(0xC0C0);
+            for case in 0..cases {
+                let reservations = rng.gen_range(1..5);
+                let mut broker = ResourceBroker::new(region.server_count());
+                for ri in 0..reservations {
+                    broker.register_reservation(format!("r{ri}"));
+                }
+                // From an empty fleet, and with some servers already bound
+                // (kept by pass 1, and loading their racks for pass 2).
+                let bound = [0.0, 0.3, 0.7][case % 3];
+                for i in 0..region.server_count() {
+                    if rng.gen::<f64>() < bound {
+                        let r = ReservationId::from_index(rng.gen_range(0..reservations));
+                        broker
+                            .bind_current(ServerId::from_index(i), Some(r))
+                            .unwrap();
+                    }
+                }
+                let snap = broker.snapshot(SimTime::ZERO);
+                let granularity = if case % 2 == 0 {
+                    Granularity::Msb
+                } else {
+                    Granularity::Rack
+                };
+                let classes = build_classes(&region, &snap, granularity, None);
+                // Random counts, some rows asking for more than the class
+                // holds in total.
+                let counts: Vec<Vec<usize>> = classes
+                    .iter()
+                    .map(|c| {
+                        (0..reservations)
+                            .map(|_| rng.gen_range(0..=c.count() / 2 + 1))
+                            .collect()
+                    })
+                    .collect();
+                assert_eq!(
+                    concretize(&region, &snap, &classes, &counts, reservations),
+                    concretize_reference(&region, &snap, &classes, &counts, reservations),
+                    "case {case} ({} servers)",
+                    region.server_count()
+                );
+            }
         }
     }
 

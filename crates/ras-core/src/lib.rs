@@ -19,12 +19,15 @@
 //!   one model reduction: classes, interned labels, size stats);
 //! * [`model`] — the MIP build (Expressions 1–7) with constraint softening;
 //! * [`assign`] — concretization of class counts into per-server targets;
-//! * [`phases`] — the two-phase solve orchestration;
-//! * [`session`] — the continuous warm-started solve session (one warm
-//!   cache per shard of its plan; a one-shard plan is the monolithic round);
+//! * [`phases`] — the two phases, both run through one phase pipeline
+//!   (classes → model → solve → concretize → stats);
+//! * [`session`] — the warm-start state one round carries to the next
+//!   (model skeleton, root basis, seed targets) and its report;
 //! * [`shard`] — POP-style shard plans, capacity splits, and the
 //!   merge/reconcile pass of a sharded round;
-//! * [`solver`] — the Async Solver facade writing targets to the broker;
+//! * [`solver`] — the Async Solver, the one stateful solve type: it owns
+//!   the shard plan, one warm cache per shard and the failure recovery,
+//!   and writes targets to the broker;
 //! * [`baseline`] — Twine's previous greedy assignment (evaluation baseline);
 //! * [`buffers`] — failure-buffer sizing and accounting;
 //! * [`emergency`] — the out-of-band emergency allocation path;
@@ -55,7 +58,7 @@ pub use ras_milp::cast;
 pub use ras_milp::{AuditMode, AuditReport};
 pub use reservation::{DcAffinity, ReservationKind, ReservationSpec, SpreadPolicy};
 pub use rru::RruTable;
-pub use session::{SolveSession, WarmReport};
+pub use session::WarmReport;
 pub use shard::{
     evaluate_targets, sharded_tolerance, PlanScore, ReconcileReport, ShardPlan, ShardReport,
     ShardedReport,

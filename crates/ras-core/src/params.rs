@@ -3,7 +3,6 @@
 use ras_milp::AuditMode;
 use serde::{Deserialize, Serialize};
 
-use crate::classes::Granularity;
 use ras_milp::tol;
 
 /// Weights and limits of the RAS MIP (paper Table 1 and Section 4.6).
@@ -54,12 +53,6 @@ pub struct SolverParams {
     /// pins the minimal allocation without influencing any real
     /// trade-off (it is far below every other coefficient).
     pub assignment_cost: f64,
-    /// Class granularity of the phase-1 (region-wide) solve. The warm
-    /// path, the cold path, and every per-shard build read this one
-    /// setting, so they cannot silently diverge. [`Granularity::Msb`] is
-    /// the paper's choice; [`Granularity::Rack`] trades solve time for
-    /// rack-aware phase-1 decisions on small regions.
-    pub phase1_granularity: Granularity,
     /// Number of POP-style shards the region solve is partitioned into
     /// (1 = monolithic). Each shard is a set of whole MSB subtrees solved
     /// concurrently on its own worker thread with its own warm cache; a
@@ -92,7 +85,6 @@ impl Default for SolverParams {
             mip_abs_gap: 0.9,
             stall_node_limit: 48,
             assignment_cost: 0.01,
-            phase1_granularity: Granularity::Msb,
             shards: 1,
             audit: AuditMode::Auto,
         }

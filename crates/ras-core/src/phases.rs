@@ -6,69 +6,102 @@
 //! reservations with the worst rack-level objectives (up to a configured
 //! fraction and variable budget); every other reservation's assignment is
 //! frozen and its servers are excluded from the phase-2 universe.
+//!
+//! Both phases run through one pipeline, `solve_phase`: classes →
+//! model → solve (softening on demand) → concretize → [`PhaseStats`].
+//! Phase 1 of a continuous round passes its shard's warm cache, so the
+//! model is reused or patched and the solve starts from the previous
+//! round (see [`crate::session`]); phase 2 and the public [`run_phase`]
+//! build the model cold.
 
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 use ras_broker::{BrokerSnapshot, ReservationId};
-use ras_milp::{SolveConfig, SolveError, WarmStart};
+use ras_milp::{Basis, SolveConfig, SolveError};
 use ras_topology::{Region, ServerId};
 
 use crate::assign::concretize;
-use crate::classes::{build_reduction, EquivClass, Granularity, ReductionStats};
+use crate::classes::{build_reduction, EquivClass, Granularity};
 use crate::error::CoreError;
+use crate::heuristic::greedy_counts;
 use crate::model::{build_model_labeled, soften_baseline, solver_visible, RasModel};
 use crate::params::SolverParams;
 use crate::reservation::{ReservationKind, ReservationSpec};
-use crate::session::SolveSession;
+use crate::session::{warm_model, RoundCache, WarmReport};
 use crate::stats::PhaseStats;
 use ras_milp::cast;
 use ras_milp::tol;
 
-/// Result of the two-phase solve.
-#[derive(Debug, Clone)]
-pub struct TwoPhaseOutcome {
-    /// Final per-server targets.
-    pub targets: Vec<Option<ReservationId>>,
-    /// Phase-1 statistics.
-    pub phase1: PhaseStats,
-    /// Phase-2 statistics (absent when no reservation needed rack work).
-    pub phase2: Option<PhaseStats>,
+/// Which of the two phases a solve runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    /// Phase 1: MSB-granularity classes, no rack goals.
+    One,
+    /// Phase 2: rack-granularity classes with rack goals.
+    Two,
 }
 
-/// Runs both phases and returns the merged target assignment.
-///
-/// This is the stateless compatibility path: it spins up a one-shot
-/// [`SolveSession`] and runs a single cold round (sharded when
-/// `params.shards > 1`). Continuous callers (the
-/// [`crate::solver::AsyncSolver`], the sim's `continuous` scenario) keep
-/// the session alive instead, so each round warm-starts from the last.
-pub fn solve_two_phase(
+/// One round's two-phase solve of the region or of one shard: the final
+/// targets, the phase-1 and phase-2 statistics, and the warm-start
+/// account.
+pub(crate) type ShardRound = (
+    Vec<Option<ReservationId>>,
+    PhaseStats,
+    Option<PhaseStats>,
+    WarmReport,
+);
+
+/// Runs round `round` over the region or one shard (`universe`): phase 1
+/// warm from the shard's cache `slot`, then phase 2 unless phase 1
+/// reproduced the previous round's final targets — last round's rack
+/// refinement already mapped that assignment to itself, so re-running it
+/// would re-derive the identical plan. Re-arms the slot with the final
+/// targets; on error the slot stays empty.
+pub(crate) fn two_phase(
+    slot: &mut Option<RoundCache>,
+    round: usize,
     region: &Region,
     specs: &[ReservationSpec],
     snapshot: &BrokerSnapshot,
     params: &SolverParams,
-) -> Result<TwoPhaseOutcome, CoreError> {
-    let (outcome, _report) = SolveSession::new().solve_round(region, specs, snapshot, params)?;
-    Ok(outcome)
+    universe: Option<&HashSet<ServerId>>,
+) -> Result<ShardRound, CoreError> {
+    let (targets1, phase1, mut warm) = solve_phase(
+        region,
+        specs,
+        snapshot,
+        params,
+        Phase::One,
+        universe,
+        Some(slot),
+    )?;
+    warm.round = round;
+    if warm.phase2_skipped {
+        return Ok((targets1, phase1, None, warm));
+    }
+    let (targets, phase2) = refine_with_phase2(region, specs, snapshot, params, targets1, universe);
+    if let Some(cache) = slot {
+        cache.targets.clone_from(&targets);
+    }
+    Ok((targets, phase1, phase2, warm))
 }
 
 /// Phase-2 refinement: rank reservations by rack overage under the
 /// phase-1 assignment, re-solve the worst offenders at rack granularity
-/// over a restricted universe, and merge. Phase 2 is always a cold solve
-/// — its universe and spec visibility change every round, so there is no
-/// temporal structure to exploit. `scope`, when present, caps the phase-2
-/// universe (a sharded session never lets one shard's refinement touch
-/// another shard's servers).
-pub(crate) fn refine_with_phase2(
+/// over a restricted universe, and merge. `scope`, when present, caps the
+/// phase-2 universe (one shard's refinement never touches another
+/// shard's servers). Returns the final targets and the phase-2
+/// statistics, `None` when no reservation needed rack work or the
+/// refinement failed (phase 1's targets stand).
+fn refine_with_phase2(
     region: &Region,
     specs: &[ReservationSpec],
     snapshot: &BrokerSnapshot,
     params: &SolverParams,
     targets1: Vec<Option<ReservationId>>,
-    phase1: PhaseStats,
     scope: Option<&HashSet<ServerId>>,
-) -> TwoPhaseOutcome {
+) -> (Vec<Option<ReservationId>>, Option<PhaseStats>) {
     // Rank reservations by rack overage under the phase-1 assignment.
     let overages = rack_overages(region, specs, &targets1, params);
     let visible = specs.iter().filter(|s| solver_visible(s)).count();
@@ -81,11 +114,7 @@ pub(crate) fn refine_with_phase2(
         .take(budget)
         .collect();
     if selected.is_empty() {
-        return TwoPhaseOutcome {
-            targets: targets1,
-            phase1,
-            phase2: None,
-        };
+        return (targets1, None);
     }
 
     // The universe phase 2 may touch: selected reservations' servers plus
@@ -127,8 +156,7 @@ pub(crate) fn refine_with_phase2(
         &specs2,
         &snapshot2,
         params,
-        Granularity::Rack,
-        true,
+        Phase::Two,
         Some(&universe),
     ) {
         Ok((targets2, phase2)) => {
@@ -139,53 +167,47 @@ pub(crate) fn refine_with_phase2(
                     merged[i] = *t;
                 }
             }
-            TwoPhaseOutcome {
-                targets: merged,
-                phase1,
-                phase2: Some(phase2),
-            }
+            (merged, Some(phase2))
         }
         // Phase 2 is an optimization pass: on failure keep phase-1 output.
-        Err(_) => TwoPhaseOutcome {
-            targets: targets1,
-            phase1,
-            phase2: None,
-        },
+        Err(_) => (targets1, None),
     }
 }
 
-/// Everything the session needs back from one phase solve: the decoded
-/// counts, the raw solution, and enough metadata to cache a warm start
-/// for the next round.
-pub(crate) struct PhaseSolveResult {
+/// Everything a phase needs back from its MIP solve: the decoded counts,
+/// the raw solution, and enough metadata to cache a warm start for the
+/// next round.
+struct PhaseSolveResult {
     /// Decoded per-class assignment counts from the model actually solved.
-    pub counts: Vec<Vec<usize>>,
+    counts: Vec<Vec<usize>>,
     /// The MIP solution (of the hard model, or of the softened rebuild).
-    pub solution: ras_milp::Solution,
+    solution: ras_milp::Solution,
     /// Softened constraint names (empty when the hard model solved).
-    pub softened: Vec<String>,
+    softened: Vec<String>,
     /// Assignment variables of the model actually solved.
-    pub assignment_vars: usize,
+    assignment_vars: usize,
     /// Memory estimate of the model actually solved.
-    pub memory_bytes: usize,
+    memory_bytes: usize,
     /// Movement-objective constant of the model actually solved.
-    pub objective_constant: f64,
+    objective_constant: f64,
     /// Extra model-(re)build seconds spent inside the solve (softening).
-    pub extra_build_seconds: f64,
+    extra_build_seconds: f64,
     /// Structural variable names of the model actually solved — the name
     /// space `solution.root_basis` lives in.
-    pub var_names: Vec<String>,
+    var_names: Vec<String>,
     /// Constraint row names of the model actually solved.
-    pub row_names: Vec<String>,
+    row_names: Vec<String>,
 }
 
 /// Solves one already-built phase model, softening and retrying on
-/// infeasibility. This is the shared core under both the stateless
-/// [`run_phase`] and the warm-started [`SolveSession`] round body: the
-/// session supplies a previous-round basis and seed incumbent (via
-/// [`WarmStart`]), the stateless path supplies neither.
+/// infeasibility. Branch-and-bound gets the current assignment, the
+/// greedy spread-aware construction and the previous round's `seed`, in
+/// that order, and installs the cheapest valid one (in a softened model
+/// the do-nothing point is always valid but pays the full softening
+/// penalty, so the greedy construction usually dominates it); `basis`
+/// warm-starts the root LP.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn solve_prepared(
+fn solve_prepared(
     region: &Region,
     specs: &[ReservationSpec],
     classes: &[EquivClass],
@@ -193,15 +215,22 @@ pub(crate) fn solve_prepared(
     ras: &RasModel,
     params: &SolverParams,
     rack_goals: bool,
-    warm: Option<WarmStart>,
+    basis: Option<Basis>,
+    seed: Option<Vec<f64>>,
 ) -> Result<PhaseSolveResult, CoreError> {
+    let candidates = |ras: &RasModel| {
+        let greedy = greedy_counts(region, specs, classes, params);
+        vec![ras.initial.clone(), ras.incumbent_from_counts(&greedy)]
+    };
+    let mut incumbents = candidates(ras);
+    incumbents.extend(seed);
     let mut config = SolveConfig {
         time_limit_seconds: params.phase_time_limit,
         rel_gap_tol: params.mip_rel_gap,
         abs_gap_tol: params.mip_abs_gap,
         stall_node_limit: params.stall_node_limit,
-        initial_incumbent: Some(best_incumbent(ras, region, specs, classes, params)),
-        warm_start: warm,
+        incumbents,
+        warm_basis: basis,
         audit: params.audit,
         ..SolveConfig::default()
     };
@@ -221,8 +250,9 @@ pub(crate) fn solve_prepared(
         // (A NoIncumbent timeout also lands here: the softened model
         // always contains the current assignment as a feasible point, so
         // its heuristics cannot come up empty.) The softened model has a
-        // different column space, so the warm basis is dropped — staleness
-        // rule: a basis never crosses a structural rebuild un-remapped.
+        // different column space, so the warm basis and seed are dropped
+        // — staleness rule: a basis never crosses a structural rebuild
+        // un-remapped.
         let soften_start = Instant::now();
         let baseline = soften_baseline(region, specs, classes);
         let soft_ras = build_model_labeled(
@@ -235,8 +265,8 @@ pub(crate) fn solve_prepared(
             Some(&baseline),
         );
         extra_build_seconds = soften_start.elapsed().as_secs_f64();
-        config.initial_incumbent = Some(best_incumbent(&soft_ras, region, specs, classes, params));
-        config.warm_start = None;
+        config.incumbents = candidates(&soft_ras);
+        config.warm_basis = None;
         solution = soft_ras.model.solve_with(&config);
         if matches!(solution, Err(SolveError::Infeasible)) {
             // Cannot happen when the current assignment is well formed —
@@ -273,59 +303,46 @@ pub(crate) fn solve_prepared(
     })
 }
 
-/// Assembles the per-phase statistics from a phase solve.
-pub(crate) fn make_stats(
-    phase_start: Instant,
-    ras_build_seconds: f64,
-    reduction: ReductionStats,
-    result: &PhaseSolveResult,
-) -> PhaseStats {
-    PhaseStats {
-        ras_build_seconds: ras_build_seconds + result.extra_build_seconds,
-        solver_build_seconds: result.solution.stats.setup_seconds,
-        initial_state_seconds: result.solution.stats.root_lp_seconds,
-        mip_seconds: result.solution.stats.mip_seconds,
-        total_seconds: phase_start.elapsed().as_secs_f64(),
-        assignment_vars: result.assignment_vars,
-        classes: reduction.classes,
-        memory_bytes: result.memory_bytes,
-        mip_stats: result.solution.stats.clone(),
-        softened: result.softened.clone(),
-        status: result.solution.status,
-        objective: result.solution.objective + result.objective_constant,
-        reduction,
-    }
-}
-
-/// Runs a single phase cold: classes → model → solve (softening on
-/// demand) → concretize.
-#[allow(clippy::type_complexity)]
-pub fn run_phase(
+/// The one phase pipeline: classes → model → solve (softening on demand)
+/// → concretize → [`PhaseStats`], restricted to `universe` when given.
+/// With a cache `slot` the model comes from [`warm_model`] — reused or
+/// patched, the solve warm-started from the previous round — and the slot
+/// is re-armed with this solve; without one the model is built cold.
+/// Returns the targets, the statistics and the warm-start account (whose
+/// `phase2_skipped` says phase 1 reproduced the previous final targets).
+pub(crate) fn solve_phase(
     region: &Region,
     specs: &[ReservationSpec],
     snapshot: &BrokerSnapshot,
     params: &SolverParams,
-    granularity: Granularity,
-    rack_goals: bool,
+    phase: Phase,
     universe: Option<&HashSet<ServerId>>,
-) -> Result<(Vec<Option<ReservationId>>, PhaseStats), CoreError> {
+    mut slot: Option<&mut Option<RoundCache>>,
+) -> Result<(Vec<Option<ReservationId>>, PhaseStats, WarmReport), CoreError> {
     let phase_start = Instant::now();
+    let (granularity, rack_goals) = match phase {
+        Phase::One => (Granularity::Msb, false),
+        Phase::Two => (Granularity::Rack, true),
+    };
     let filter = universe.map(|u| move |s: ServerId| u.contains(&s));
     let filter_dyn: Option<&dyn Fn(ServerId) -> bool> =
         filter.as_ref().map(|f| f as &dyn Fn(ServerId) -> bool);
-
-    let build_start = Instant::now();
     let reduction = build_reduction(region, snapshot, specs, granularity, filter_dyn);
-    let ras = build_model_labeled(
+
+    // On any error below the slot stays empty: a failed round drops the
+    // warm state and the next round starts cold.
+    let mut report = WarmReport::default();
+    let cache = slot.as_deref_mut().and_then(Option::take);
+    let (ras, basis, seed, prev_targets) = warm_model(
+        cache,
         region,
         specs,
-        &reduction.classes,
-        &reduction.labels,
         params,
+        &reduction,
         rack_goals,
-        None,
+        &mut report,
     );
-    let ras_build_seconds = build_start.elapsed().as_secs_f64();
+    let ras_build_seconds = phase_start.elapsed().as_secs_f64();
 
     let result = solve_prepared(
         region,
@@ -335,8 +352,17 @@ pub fn run_phase(
         &ras,
         params,
         rack_goals,
-        None,
+        basis,
+        seed,
     )?;
+    let mip = &result.solution.stats;
+    report.warm_basis_accepted = mip.warm_basis_accepted;
+    report.dual_resolve = mip.root_used_dual_simplex;
+    report.root_phase1_iterations = mip.root_phase1_iterations;
+    report.dual_iterations = mip.dual_iterations;
+    report.incumbent_seeded = mip.incumbent_seeded;
+    report.nodes_pruned_by_seed = mip.nodes_pruned_by_seed;
+
     let targets = concretize(
         region,
         snapshot,
@@ -344,42 +370,49 @@ pub fn run_phase(
         &result.counts,
         specs.len(),
     );
-    let stats = make_stats(phase_start, ras_build_seconds, reduction.stats, &result);
-    Ok((targets, stats))
+    report.phase2_skipped = prev_targets.as_deref() == Some(targets.as_slice());
+    let stats = PhaseStats {
+        ras_build_seconds: ras_build_seconds + result.extra_build_seconds,
+        solver_build_seconds: mip.setup_seconds,
+        initial_state_seconds: mip.root_lp_seconds,
+        mip_seconds: mip.mip_seconds,
+        total_seconds: phase_start.elapsed().as_secs_f64(),
+        assignment_vars: result.assignment_vars,
+        classes: reduction.stats.classes,
+        memory_bytes: result.memory_bytes,
+        mip_stats: mip.clone(),
+        softened: result.softened,
+        status: result.solution.status,
+        objective: result.solution.objective + result.objective_constant,
+        reduction: reduction.stats.clone(),
+    };
+    if let Some(slot) = slot {
+        *slot = Some(RoundCache {
+            params: params.clone(),
+            specs: specs.to_vec(),
+            reduction,
+            ras,
+            var_names: result.var_names,
+            row_names: result.row_names,
+            basis: result.solution.root_basis,
+            targets: targets.clone(),
+        });
+    }
+    Ok((targets, stats, report))
 }
 
-/// Picks the best valid warm incumbent for a built model: the current
-/// assignment and the greedy spread-aware construction are both valued
-/// and validated; the cheapest valid one wins (in a softened model the
-/// do-nothing point is always valid but pays the full softening penalty,
-/// so the greedy construction usually dominates it). A previous round's
-/// assignment arrives separately as a [`WarmStart`] incumbent.
-pub(crate) fn best_incumbent(
-    ras: &RasModel,
+/// Runs one phase cold (no warm cache) over `universe`, or the whole
+/// region: the entry point for experiments that solve a single phase.
+pub fn run_phase(
     region: &Region,
     specs: &[ReservationSpec],
-    classes: &[EquivClass],
+    snapshot: &BrokerSnapshot,
     params: &SolverParams,
-) -> Vec<f64> {
-    let score = |v: &[f64]| -> Option<f64> {
-        ras.model
-            .violations(v, tol::PRIMAL_FEAS)
-            .is_empty()
-            .then(|| ras.model.objective().eval(v))
-    };
-    let current = ras.initial.clone();
-    let greedy = ras.incumbent_from_counts(&crate::heuristic::greedy_counts(
-        region, specs, classes, params,
-    ));
-    let mut best: Option<(f64, Vec<f64>)> = None;
-    for candidate in [current.clone(), greedy] {
-        if let Some(s) = score(&candidate) {
-            if best.as_ref().is_none_or(|(b, _)| s < *b) {
-                best = Some((s, candidate));
-            }
-        }
-    }
-    best.map_or(current, |(_, v)| v)
+    phase: Phase,
+    universe: Option<&HashSet<ServerId>>,
+) -> Result<(Vec<Option<ReservationId>>, PhaseStats), CoreError> {
+    solve_phase(region, specs, snapshot, params, phase, universe, None)
+        .map(|(targets, stats, _)| (targets, stats))
 }
 
 /// Rack-overage score per reservation under an assignment: total RRUs
@@ -464,6 +497,15 @@ mod tests {
         (region, broker)
     }
 
+    /// One cold round of both phases.
+    fn solve_cold(
+        region: &Region,
+        specs: &[ReservationSpec],
+        snap: &BrokerSnapshot,
+    ) -> Result<crate::SolveOutput, CoreError> {
+        crate::AsyncSolver::default().solve(region, specs, snap)
+    }
+
     fn uniform_spec(region: &Region, name: &str, capacity: f64) -> ReservationSpec {
         ReservationSpec::guaranteed(name, capacity, RruTable::uniform(&region.catalog, 1.0))
     }
@@ -476,8 +518,7 @@ mod tests {
             uniform_spec(&region, "feed", 40.0),
         ];
         let snap = broker.snapshot(SimTime::ZERO);
-        let outcome =
-            solve_two_phase(&region, &specs, &snap, &SolverParams::default()).expect("solve");
+        let outcome = solve_cold(&region, &specs, &snap).expect("solve");
         for (ri, spec) in specs.iter().enumerate() {
             let res = ReservationId::from_index(ri);
             let mut total = 0.0;
@@ -512,8 +553,7 @@ mod tests {
         let mut spec = uniform_spec(&region, "web", 30.0);
         spec.spread.rack_share = Some(0.05); // 1.5 RRUs per rack max.
         let snap = broker.snapshot(SimTime::ZERO);
-        let outcome = solve_two_phase(&region, &[spec.clone()], &snap, &SolverParams::default())
-            .expect("solve");
+        let outcome = solve_cold(&region, &[spec.clone()], &snap).expect("solve");
         // Rack overage of the final assignment should be no worse than the
         // phase-1-only assignment.
         let ranked = rack_overages(&region, &[spec], &outcome.targets, &SolverParams::default());
@@ -552,7 +592,7 @@ mod tests {
         let snap = broker.snapshot(SimTime::ZERO);
         // With no current assignment the softened model allocates what it
         // can; capacity remains short but the solve itself succeeds.
-        let outcome = solve_two_phase(&region, &specs, &snap, &SolverParams::default());
+        let outcome = solve_cold(&region, &specs, &snap);
         match outcome {
             Ok(o) => {
                 assert!(

@@ -5,11 +5,11 @@
 //! scale on one thread. This module partitions the region into `k`
 //! near-independent subproblems along the fault-domain tree — each shard
 //! is a set of *whole MSB subtrees* — and recombines the per-shard plans
-//! with a cheap merge/reconcile pass. The [`crate::SolveSession`] owns
+//! with a cheap merge/reconcile pass. The [`crate::AsyncSolver`] owns
 //! the plan and solves the shards concurrently on worker threads, one
 //! warm cache per shard, so continuous rounds stay warm per shard. A plan
-//! of one shard is simply the monolithic problem: the session solves it
-//! as the monolithic round and none of the merge machinery runs.
+//! of one shard is simply the monolithic problem: the solver runs it as
+//! the monolithic round and none of the merge machinery runs.
 //!
 //! Why whole MSBs? Every intra-MSB structure of the model (per-MSB usage
 //! expressions, the `max_msb` buffer variable, rack groups) is then
@@ -40,11 +40,13 @@ use ras_broker::{BrokerSnapshot, ReservationId, UnavailabilityKind};
 use ras_topology::{MsbId, Region, ServerId};
 use serde::{Deserialize, Serialize};
 
+use crate::assign::count_moves;
 use crate::model::solver_visible;
 use crate::params::SolverParams;
-use crate::phases::TwoPhaseOutcome;
+use crate::phases::ShardRound;
 use crate::reservation::ReservationSpec;
 use crate::session::WarmReport;
+use crate::solver::SolveOutput;
 use crate::stats::PhaseStats;
 use ras_milp::nan;
 use ras_milp::nan::NanGuard;
@@ -524,19 +526,15 @@ pub struct ShardReport {
 /// Everything a sharded round did beyond the merged targets.
 #[derive(Debug, Clone, Default)]
 pub struct ShardedReport {
-    /// Per-shard solve reports (a single entry = the monolithic round).
+    /// Per-shard solve reports, one per shard of the plan.
     pub shards: Vec<ShardReport>,
-    /// Merge/reconcile accounting (default for the monolithic round).
+    /// Merge/reconcile accounting.
     pub reconcile: ReconcileReport,
-    /// The merged plan's regional score from [`evaluate_targets`]
-    /// (default for the monolithic round).
+    /// The merged plan's regional score from [`evaluate_targets`].
     pub score: PlanScore,
-    /// Aggregate warm-start view across shards (AND for the reuse flags,
-    /// sums for the counters).
-    pub warm: WarmReport,
 }
 
-/// The partition a session solves a region in: the largest `k' ≤ k`
+/// The partition the solver solves a region in: the largest `k' ≤ k`
 /// (`k' ≥ 2`) whose partition every shard can support (see
 /// [`plan_supports`]), with each shard's capacity slice. `None` is the
 /// one-shard plan — the whole region, always feasible — for `k ≤ 1` or
@@ -566,8 +564,8 @@ pub(crate) fn plan_for(
 /// 2. reconciles: releases surplus acquisitions while the regional
 ///    buffered capacity constraint keeps holding;
 /// 3. values the merged plan with [`evaluate_targets`] and reports it as
-///    the round's phase-1 objective, with the shards' statistics
-///    aggregated around it.
+///    the round's phase-1 objective, with the shards' statistics and warm
+///    reports aggregated around it.
 #[allow(clippy::too_many_arguments)]
 // lint:allow(hot-path-index): shard outcomes are zipped with plan.shards; targets span the fleet
 pub(crate) fn merge_round(
@@ -576,16 +574,16 @@ pub(crate) fn merge_round(
     snapshot: &BrokerSnapshot,
     params: &SolverParams,
     (plan, split): (&ShardPlan, &[Vec<ReservationSpec>]),
-    outcomes: Vec<(TwoPhaseOutcome, WarmReport)>,
+    outcomes: Vec<ShardRound>,
     round: usize,
     round_start: Instant,
-) -> (TwoPhaseOutcome, ShardedReport) {
+) -> SolveOutput {
     let merge_start = Instant::now();
     let mut targets: Vec<Option<ReservationId>> =
         snapshot.records.iter().map(|r| r.current).collect();
-    for (shard, (outcome, _)) in plan.shards.iter().zip(&outcomes) {
+    for (shard, (shard_targets, ..)) in plan.shards.iter().zip(&outcomes) {
         for s in &shard.servers {
-            targets[s.index()] = outcome.targets[s.index()];
+            targets[s.index()] = shard_targets[s.index()];
         }
     }
     let (released, released_rru) = reconcile(region, specs, snapshot, &mut targets);
@@ -601,37 +599,34 @@ pub(crate) fn merge_round(
         .iter()
         .zip(outcomes)
         .zip(split)
-        .map(|((shard, (outcome, warm)), sspecs)| ShardReport {
+        .map(|((shard, (_, phase1, phase2, warm)), sspecs)| ShardReport {
             shard: shard.index,
             servers: shard.servers.len(),
             capacity: sspecs.iter().map(|s| s.capacity).collect(),
-            phase1: outcome.phase1,
-            phase2: outcome.phase2,
+            phase1,
+            phase2,
             warm,
         })
         .collect();
-    let warm = aggregate_warm(round, &shard_reports);
-    let phase1 = aggregate_phase1(
-        &shard_reports,
-        score.objective,
-        round_start.elapsed().as_secs_f64(),
-    );
-    (
-        TwoPhaseOutcome {
-            targets,
-            phase1,
-            phase2: None,
-        },
-        ShardedReport {
+    SolveOutput {
+        moves: count_moves(snapshot, &targets),
+        targets,
+        phase1: aggregate_phase1(
+            &shard_reports,
+            score.objective,
+            round_start.elapsed().as_secs_f64(),
+        ),
+        phase2: None,
+        warm: aggregate_warm(round, &shard_reports),
+        sharded: Some(ShardedReport {
             shards: shard_reports,
             reconcile: reconcile_report,
             score,
-            warm,
-        },
-    )
+        }),
+    }
 }
 
-/// Folds per-shard warm reports into one session-level view: reuse flags
+/// Folds per-shard warm reports into one round-level view: reuse flags
 /// AND across shards (the round is only as warm as its coldest shard),
 /// counters sum.
 fn aggregate_warm(round: usize, shards: &[ShardReport]) -> WarmReport {
@@ -800,8 +795,9 @@ mod tests {
 
         // A real solve's plan must be feasible and strictly cheaper than
         // an arbitrary all-in-one-MSB plan of the same size.
-        let outcome =
-            crate::phases::solve_two_phase(&region, &specs, &snap, &params).expect("solve");
+        let outcome = crate::AsyncSolver::new(params.clone())
+            .solve(&region, &specs, &snap)
+            .expect("solve");
         let solved = evaluate_targets(&region, &specs, &snap, &params, &outcome.targets);
         assert!(solved.capacity_feasible(1e-6));
         // Phase 2 may have refined the merged targets, so allow a small
@@ -832,10 +828,10 @@ mod tests {
             ..SolverParams::default()
         };
 
-        let mut session = crate::SolveSession::new();
-        let (outcome, report) = session
-            .solve_round(&region, &specs, &snap, &params)
+        let outcome = crate::AsyncSolver::new(params.clone())
+            .solve(&region, &specs, &snap)
             .expect("sharded solve");
+        let report = outcome.sharded.as_ref().expect("a three-shard plan");
         assert_eq!(report.shards.len(), 3);
         for shard in &report.shards {
             assert!(

@@ -1,15 +1,24 @@
-//! The Async Solver facade (paper Figure 6, steps 2–3).
+//! The Async Solver (paper Figure 6, steps 2–3).
 //!
 //! Takes a broker snapshot plus the current reservation specs, runs the
 //! two-phase MIP solve, and writes per-server *targets* back to the
 //! broker. Runs off the critical path: the Online Mover materializes the
 //! targets asynchronously, and container placement never waits on it.
 //!
-//! The solver owns a [`SolveSession`], so consecutive
-//! [`AsyncSolver::solve`] calls on the same instance are *continuous*:
-//! each round warm-starts from the previous one (cached model skeleton,
-//! root-LP basis, seeded incumbent — per shard when the session's plan
-//! has more than one). Use a fresh solver for a cold round.
+//! The solver is the one stateful solve type. It owns the shard plan it
+//! derives from `params.shards` ([`crate::shard`]), one warm cache per
+//! shard ([`crate::session`]), the round counter and the failure
+//! recovery, so consecutive [`AsyncSolver::solve`] calls on the same
+//! instance are *continuous*: each round warm-starts from the previous
+//! one (cached model skeleton, root-LP basis, seeded incumbent). Use a
+//! fresh solver for a cold round. The size of the plan picks the path: a
+//! one-shard plan — one shard requested, or a larger request no partition
+//! can support — is the monolithic round, both phases on the whole
+//! region; a plan of two or more shards solves every shard concurrently,
+//! each restricted to its servers and capacity slice, then merges and
+//! reconciles the plans.
+
+use std::time::Instant;
 
 use ras_broker::{BrokerSnapshot, ReservationId, ResourceBroker};
 use ras_topology::Region;
@@ -18,10 +27,10 @@ use crate::assign::{count_moves, MoveStats};
 use crate::error::CoreError;
 use crate::model::solver_visible;
 use crate::params::SolverParams;
-use crate::phases::TwoPhaseOutcome;
+use crate::phases::two_phase;
 use crate::reservation::ReservationSpec;
-use crate::session::{SolveSession, WarmReport};
-use crate::shard::ShardedReport;
+use crate::session::{RoundCache, WarmReport};
+use crate::shard::{merge_round, plan_for, ShardPlan, ShardedReport};
 use crate::stats::PhaseStats;
 
 /// Output of one solve: targets plus full statistics.
@@ -35,8 +44,8 @@ pub struct SolveOutput {
     pub phase2: Option<PhaseStats>,
     /// Moves this solve plans relative to current bindings.
     pub moves: MoveStats,
-    /// How the continuous session warm-started this round (aggregated
-    /// across shards when the round was sharded).
+    /// How the solver warm-started this round (aggregated across shards
+    /// when the round was sharded: reuse flags AND, counters sum).
     pub warm: WarmReport,
     /// Per-shard reports when the round ran sharded (a plan of two or
     /// more shards); `None` for a monolithic round, including a sharded
@@ -109,8 +118,16 @@ impl SolveOutput {
 pub struct AsyncSolver {
     /// Cost coefficients and limits.
     pub params: SolverParams,
-    /// Warm-start state threaded between rounds (one cache per shard).
-    session: SolveSession,
+    /// Shard count, region fingerprint and specs the plan was derived for.
+    plan_key: (usize, (usize, usize), Vec<ReservationSpec>),
+    /// The partition of a plan with two or more shards, with each shard's
+    /// capacity slice; `None` for the one-shard plan (the whole region
+    /// under the caller's specs).
+    plan: Option<(ShardPlan, Vec<Vec<ReservationSpec>>)>,
+    /// One warm cache per shard of the plan (empty before the first round).
+    caches: Vec<Option<RoundCache>>,
+    /// Rounds completed since creation or the last failed round.
+    rounds: usize,
 }
 
 impl AsyncSolver {
@@ -118,7 +135,7 @@ impl AsyncSolver {
     pub fn new(params: SolverParams) -> Self {
         Self {
             params,
-            session: SolveSession::new(),
+            ..Self::default()
         }
     }
 
@@ -149,12 +166,25 @@ impl AsyncSolver {
         Ok(())
     }
 
-    /// Runs one solve over a snapshot.
+    /// Runs one continuous round over a snapshot: re-plan if the inputs
+    /// changed, solve every shard of the plan (diff against its cache,
+    /// reuse or rebuild the model, warm-start the MIP, refine with phase
+    /// 2), and re-arm the caches for the next round.
     ///
     /// `specs[i]` must correspond to `ReservationId(i)` as registered in
     /// the broker. Takes `&mut self` because each round updates the
-    /// warm-start session; use a fresh solver for an independent cold
+    /// warm-start state; use a fresh solver for an independent cold
     /// solve.
+    ///
+    /// # Failure recovery
+    ///
+    /// When a round fails, in any shard, the solver drops every shard's
+    /// cached skeleton, basis and seed targets and restarts round
+    /// numbering at 0, so the next round runs cold. When warm state
+    /// existed, the error is wrapped in [`CoreError::SessionInvalidated`];
+    /// a failure with nothing warm to lose surfaces the raw error. A spec
+    /// rejected by [`Self::validate`] fails before the round starts and
+    /// keeps the warm state.
     pub fn solve(
         &mut self,
         region: &Region,
@@ -162,31 +192,140 @@ impl AsyncSolver {
         snapshot: &BrokerSnapshot,
     ) -> Result<SolveOutput, CoreError> {
         self.validate(region, specs)?;
-        let (
-            TwoPhaseOutcome {
+        // Sample before re-planning: a spec or shard-count change may
+        // re-partition (dropping warm state), and a failure in that very
+        // round must still report that the warm state it entered with is
+        // gone.
+        let warm_at_entry = self.rounds > 0 || self.caches.iter().any(Option::is_some);
+        let round = self.rounds;
+        match self.run_round(region, specs, snapshot) {
+            Ok(out) => {
+                self.rounds += 1;
+                Ok(out)
+            }
+            Err(cause) => {
+                // Survivors' caches describe capacity slices the next
+                // (possibly re-planned) round may not reproduce.
+                self.caches.iter_mut().for_each(|c| *c = None);
+                self.rounds = 0;
+                Err(if warm_at_entry {
+                    CoreError::SessionInvalidated {
+                        round,
+                        cause: Box::new(cause),
+                    }
+                } else {
+                    cause
+                })
+            }
+        }
+    }
+
+    /// Re-derives the plan when the shard count, region, or specs changed
+    /// (see [`plan_for`]). When the re-derived partition equals the
+    /// current one, the warm per-shard caches are kept.
+    fn ensure_plan(&mut self, region: &Region, specs: &[ReservationSpec]) {
+        let key = (
+            self.params.shards,
+            (region.server_count(), region.msbs().len()),
+        );
+        if !self.caches.is_empty()
+            && (self.plan_key.0, self.plan_key.1) == key
+            && self.plan_key.2 == specs
+        {
+            return;
+        }
+        let plan = plan_for(region, specs, key.0);
+        let same_partition = !self.caches.is_empty()
+            && match (&self.plan, &plan) {
+                (None, None) => true,
+                (Some((old, _)), Some((new, _))) => {
+                    old.shards.len() == new.shards.len()
+                        && old
+                            .shards
+                            .iter()
+                            .zip(&new.shards)
+                            .all(|(a, b)| a.msbs == b.msbs)
+                }
+                _ => false,
+            };
+        if !same_partition {
+            self.caches = vec![None; plan.as_ref().map_or(1, |(p, _)| p.len())];
+        }
+        self.plan_key = (key.0, key.1, specs.to_vec());
+        self.plan = plan;
+    }
+
+    /// The round on the current plan. Must not touch the round counter or
+    /// wrap errors — [`solve`](Self::solve) owns recovery.
+    fn run_round(
+        &mut self,
+        region: &Region,
+        specs: &[ReservationSpec],
+        snapshot: &BrokerSnapshot,
+    ) -> Result<SolveOutput, CoreError> {
+        let round_start = Instant::now();
+        self.ensure_plan(region, specs);
+        let round = self.rounds;
+        let Self {
+            params,
+            plan,
+            caches,
+            ..
+        } = self;
+        let params = &*params;
+
+        let Some((plan, split)) = plan.as_ref() else {
+            // The one-shard plan is the monolithic round.
+            let (targets, phase1, phase2, warm) =
+                two_phase(&mut caches[0], round, region, specs, snapshot, params, None)?;
+            return Ok(SolveOutput {
+                moves: count_moves(snapshot, &targets),
                 targets,
                 phase1,
                 phase2,
-            },
-            report,
-        ) = self
-            .session
-            .solve_round(region, specs, snapshot, &self.params)?;
-        let moves = count_moves(snapshot, &targets);
-        let warm = report.warm.clone();
-        let sharded = if report.shards.len() > 1 {
-            Some(report)
-        } else {
-            None
+                warm,
+                sharded: None,
+            });
         };
-        Ok(SolveOutput {
-            targets,
-            phase1,
-            phase2,
-            moves,
-            warm,
-            sharded,
-        })
+
+        let outcomes = std::thread::scope(|scope| {
+            let handles: Vec<_> = caches
+                .iter_mut()
+                .zip(&plan.shards)
+                .zip(split)
+                .map(|((cache, shard), sspecs)| {
+                    scope.spawn(move || {
+                        two_phase(
+                            cache,
+                            round,
+                            region,
+                            sspecs,
+                            snapshot,
+                            params,
+                            Some(&shard.servers),
+                        )
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join().unwrap_or_else(|_| {
+                        Err(CoreError::Solver("shard worker thread panicked".into()))
+                    })
+                })
+                .collect::<Result<Vec<_>, _>>()
+        })?;
+        Ok(merge_round(
+            region,
+            specs,
+            snapshot,
+            params,
+            (plan, split),
+            outcomes,
+            round,
+            round_start,
+        ))
     }
 
     /// Persists a solve's targets into the broker (Figure 6, step 3).

@@ -1,10 +1,10 @@
 //! Failed-round recovery and sharded-vs-monolithic differential tests.
 //!
 //! Recovery contract: a continuous round that fails mid-solve, in any
-//! shard, must leave the session *usable* — every shard's warm state and
-//! the round numbering dropped, the error telling the caller the next
-//! round runs cold — and that next round must solve and certify exactly
-//! like a fresh session's round 0.
+//! shard, must leave the [`AsyncSolver`] *usable* — every shard's warm
+//! state and the round numbering dropped, the error telling the caller
+//! the next round runs cold — and that next round must solve and certify
+//! exactly like a fresh solver's round 0.
 //!
 //! Differential contract: a POP-style sharded solve of the same input
 //! must land within [`ras_core::sharded_tolerance`] of the monolithic
@@ -15,8 +15,7 @@ use ras_broker::{ResourceBroker, SimTime};
 use ras_core::reservation::ReservationSpec;
 use ras_core::rru::RruTable;
 use ras_core::{
-    evaluate_targets, sharded_tolerance, AsyncSolver, AuditMode, CoreError, SolveSession,
-    SolverParams,
+    evaluate_targets, sharded_tolerance, AsyncSolver, AuditMode, CoreError, SolverParams,
 };
 use ras_topology::{Region, RegionBuilder, RegionTemplate};
 
@@ -45,8 +44,9 @@ fn poisoned(mut specs: Vec<ReservationSpec>) -> Vec<ReservationSpec> {
     specs
 }
 
-/// Runs a clean round 0, a poisoned round 1 and a recovery round on one
-/// session planned for `shards` shards, checking the recovery contract.
+/// Runs a clean round 0, a poisoned round 1, a recovery round and one
+/// more round on one solver planned for `shards` shards, checking the
+/// recovery contract on each round's warm report.
 fn warm_failure_invalidates_then_recovers_cold(shards: usize) {
     let region = region();
     let specs = portfolio(&region);
@@ -59,22 +59,20 @@ fn warm_failure_invalidates_then_recovers_cold(shards: usize) {
         shards,
         ..audited_params()
     };
-    let mut session = SolveSession::new();
-    let (_, report0) = session
-        .solve_round(&region, &specs, &snap, &params)
+    let shard_count =
+        |out: &ras_core::SolveOutput| out.sharded.as_ref().map_or(1, |r| r.shards.len());
+    let mut solver = AsyncSolver::new(params);
+    let out0 = solver
+        .solve(&region, &specs, &snap)
         .expect("round 0 solves");
-    assert_eq!(report0.warm.round, 0);
-    assert_eq!(report0.shards.len(), shards);
-    assert!(
-        session.is_warm(),
-        "shards={shards}: round 0 must leave warm state behind"
-    );
+    assert_eq!(out0.warm.round, 0);
+    assert_eq!(shard_count(&out0), shards);
 
     // Round 1 fails mid-solve: the audited model rejects the poisoned
-    // spec. The session must report the invalidation explicitly, even
-    // when only one shard failed.
-    let err = session
-        .solve_round(&region, &poisoned(specs.clone()), &snap, &params)
+    // spec. The solver must report the invalidation explicitly — round 0
+    // left warm state behind — even when only one shard failed.
+    let err = solver
+        .solve(&region, &poisoned(specs.clone()), &snap)
         .expect_err("poisoned round must fail");
     match &err {
         CoreError::SessionInvalidated { round, cause } => {
@@ -86,35 +84,40 @@ fn warm_failure_invalidates_then_recovers_cold(shards: usize) {
         }
         other => panic!("shards={shards}: expected SessionInvalidated, got {other:?}"),
     }
-    assert!(
-        !session.is_warm(),
-        "shards={shards}: every shard's warm state must be dropped"
-    );
-    assert_eq!(
-        session.rounds(),
-        0,
-        "shards={shards}: round numbering must restart"
-    );
 
-    // The session remains usable: the next round runs cold — round
-    // number 0, no model reuse — and every shard still certifies clean
+    // The solver remains usable: the next round runs cold — round number
+    // 0 (numbering restarted), no model reuse, no basis and no seed (every
+    // shard's warm state dropped) — and every shard still certifies clean
     // under the auditor.
-    let (_, report) = session
-        .solve_round(&region, &specs, &snap, &params)
+    let out = solver
+        .solve(&region, &specs, &snap)
         .expect("recovery round solves");
-    assert_eq!(report.warm.round, 0, "recovery round is a fresh round 0");
-    assert!(
-        !report.warm.model_reused && !report.warm.warm_basis_supplied && !report.warm.seed_supplied
+    assert_eq!(
+        out.warm.round, 0,
+        "shards={shards}: recovery round is a fresh round 0"
     );
-    assert_eq!(report.shards.len(), shards);
-    for shard in &report.shards {
+    assert!(
+        !out.warm.model_reused && !out.warm.warm_basis_supplied && !out.warm.seed_supplied,
+        "shards={shards}: recovery round must run cold: {:?}",
+        out.warm
+    );
+    assert_eq!(shard_count(&out), shards);
+    for phase in out.audit_phases() {
         assert!(
-            shard.phase1.mip_stats.audit.certified_clean(),
-            "shards={shards}: shard {} must certify clean after recovery",
-            shard.shard
+            phase.mip_stats.audit.certified_clean(),
+            "shards={shards}: every phase must certify clean after recovery"
         );
     }
-    assert!(session.is_warm(), "and it re-arms the warm machinery");
+
+    // And the recovery round re-arms the warm machinery.
+    let next = solver
+        .solve(&region, &specs, &snap)
+        .expect("round after recovery solves");
+    assert_eq!(next.warm.round, 1);
+    assert!(
+        next.warm.seed_supplied,
+        "shards={shards}: the round after recovery must be seeded"
+    );
 }
 
 #[test]
@@ -135,15 +138,15 @@ fn failed_cold_round_returns_the_raw_error() {
     broker.register_reservation("feed");
     let snap = broker.snapshot(SimTime::ZERO);
 
-    // A fresh session has no warm state to lose: the error passes through
-    // unwrapped, exactly like the one-shot `solve_two_phase` path.
+    // A fresh solver has no warm state to lose: the error passes through
+    // unwrapped.
     for shards in [1usize, 3] {
         let params = SolverParams {
             shards,
             ..audited_params()
         };
-        let err = SolveSession::new()
-            .solve_round(&region, &poisoned(portfolio(&region)), &snap, &params)
+        let err = AsyncSolver::new(params)
+            .solve(&region, &poisoned(portfolio(&region)), &snap)
             .expect_err("poisoned cold round must fail");
         assert!(
             !matches!(err, CoreError::SessionInvalidated { .. }),
@@ -209,8 +212,8 @@ fn sharded_solve_matches_monolithic_within_documented_tolerance() {
     let snap = broker.snapshot(SimTime::ZERO);
     let params = SolverParams::default();
 
-    let (mono, _) = SolveSession::new()
-        .solve_round(&region, &specs, &snap, &params)
+    let mono = AsyncSolver::new(params.clone())
+        .solve(&region, &specs, &snap)
         .expect("monolithic solve");
     let mono_score = evaluate_targets(&region, &specs, &snap, &params, &mono.targets);
     assert!(mono_score.capacity_feasible(1e-6));
@@ -220,10 +223,10 @@ fn sharded_solve_matches_monolithic_within_documented_tolerance() {
             shards: k,
             ..params.clone()
         };
-        let (sharded, report) = SolveSession::new()
-            .solve_round(&region, &specs, &snap, &sharded_params)
+        let sharded = AsyncSolver::new(sharded_params)
+            .solve(&region, &specs, &snap)
             .expect("sharded solve");
-        assert_eq!(report.shards.len(), k);
+        assert_eq!(sharded.sharded.as_ref().map(|r| r.shards.len()), Some(k));
         let score = evaluate_targets(&region, &specs, &snap, &params, &sharded.targets);
         assert!(
             score.capacity_feasible(1e-6),

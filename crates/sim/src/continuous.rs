@@ -3,13 +3,12 @@
 //! The paper's deployment runs the Async Solver every ~30 minutes against
 //! an input that drifts only slightly between rounds (a few servers fail
 //! or return, the occasional spec edit). This scenario reproduces that
-//! regime: one [`AsyncSolver`] (and therefore one warm
-//! [`ras_core::SolveSession`], one cache per shard of its plan — a single
-//! whole-region cache at the default `shards = 1`) solves `rounds`
-//! consecutive rounds, each
-//! round applying the plan, materializing the moves, and then churning a
-//! small fraction of the fleet — servers go down with unplanned hardware
-//! failures and the previous round's victims come back up.
+//! regime: one [`AsyncSolver`] (which keeps one warm cache per shard of
+//! its plan — a single whole-region cache at the default `shards = 1`)
+//! solves `rounds` consecutive rounds, each round applying the plan,
+//! materializing the moves, and then churning a small fraction of the
+//! fleet — servers go down with unplanned hardware failures and the
+//! previous round's victims come back up.
 //!
 //! The per-round [`RoundReport`]s expose what the continuous machinery
 //! did (model reuse/patch, basis acceptance, incumbent seeding) alongside
@@ -73,7 +72,7 @@ pub struct ContinuousConfig {
     pub utilization: f64,
     /// Solver parameters for every round.
     pub params: SolverParams,
-    /// Also run a cold (fresh-session) solve of every round's snapshot
+    /// Also run a cold (fresh-solver) solve of every round's snapshot
     /// and record its time/objective for differential comparison. The
     /// cold solve is never applied.
     pub cold_compare: bool,
@@ -114,7 +113,7 @@ pub struct RoundReport {
     pub churned: usize,
     /// Full phase-1 objective (warm and cold must agree on this).
     pub objective: f64,
-    /// The session's account of its warm-start behavior.
+    /// The solver's account of its warm-start behavior.
     pub warm: WarmReport,
     /// Wall-clock seconds of the cold solve of the same snapshot
     /// (only with [`ContinuousConfig::cold_compare`]).
